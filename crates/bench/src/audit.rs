@@ -25,7 +25,7 @@
 use crate::session::{AlgoKey, ExperimentSpec, MachineKind};
 use crate::store::codec;
 use omega_core::config::SystemConfig;
-use omega_core::runner::{replay_audited_parallel, trace_algorithm, RunReport};
+use omega_core::runner::{replay_audited, trace_algorithm, RunReport};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
 use omega_graph::CsrGraph;
@@ -158,7 +158,6 @@ pub struct Fuzzer {
     rng: SmallRng,
     graphs: HashMap<Dataset, CsrGraph>,
     verbose: bool,
-    parallelism: usize,
 }
 
 impl Fuzzer {
@@ -168,24 +167,12 @@ impl Fuzzer {
             rng: SmallRng::seed_from_u64(seed),
             graphs: HashMap::new(),
             verbose: false,
-            parallelism: 1,
         }
     }
 
     /// Sets whether per-case progress lines go to stderr.
     pub fn verbose(mut self, verbose: bool) -> Self {
         self.verbose = verbose;
-        self
-    }
-
-    /// Sets the replay parallelism every oracle runs under (default 1, the
-    /// serial engine). The staged engine is bit-identical to serial, so the
-    /// oracles — and the case stream, which only consumes RNG draws — must
-    /// produce the same verdicts at any setting; running the fuzzer at
-    /// `n >= 2` turns the whole oracle battery into a parallel-engine
-    /// equivalence check.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
         self
     }
 
@@ -239,14 +226,14 @@ impl Fuzzer {
         let mut failures: Vec<(String, String)> = Vec::new();
 
         // Oracle 1: the conservation audit itself.
-        let (parts, audit) = replay_audited_parallel(&raw, &meta, &sys, self.parallelism);
+        let (parts, audit) = replay_audited(&raw, &meta, &sys);
         checks += audit.checks_run();
         for v in audit.violations() {
             failures.push(("audit".into(), v.to_string()));
         }
 
         // Oracle 2: replaying the same trace twice is bit-identical.
-        let (again, _) = replay_audited_parallel(&raw, &meta, &sys, self.parallelism);
+        let (again, _) = replay_audited(&raw, &meta, &sys);
         checks += 1;
         if again != parts {
             failures.push((
@@ -262,7 +249,7 @@ impl Fuzzer {
         if case.telemetry {
             let mut silent = sys;
             silent.machine.telemetry = TelemetryConfig::off();
-            let (off, _) = replay_audited_parallel(&raw, &meta, &silent, self.parallelism);
+            let (off, _) = replay_audited(&raw, &meta, &silent);
             checks += 1;
             if (&off.0, &off.1, off.2) != (&parts.0, &parts.1, parts.2) {
                 failures.push((
@@ -301,7 +288,7 @@ impl Fuzzer {
         // Oracle 5: a strictly slower DRAM never finishes the run earlier.
         let mut slow = sys;
         slow.machine.dram.latency *= 2;
-        let (slower, _) = replay_audited_parallel(&raw, &meta, &slow, self.parallelism);
+        let (slower, _) = replay_audited(&raw, &meta, &slow);
         checks += 1;
         if slower.0.total_cycles < parts.0.total_cycles {
             failures.push((
@@ -321,7 +308,7 @@ impl Fuzzer {
         // and the baseline would have been collected obs-on anyway.
         if !obs::enabled() {
             obs::enable(true, true);
-            let (on, _) = replay_audited_parallel(&raw, &meta, &sys, self.parallelism);
+            let (on, _) = replay_audited(&raw, &meta, &sys);
             let _ = obs::drain();
             checks += 1;
             if on != parts {

@@ -11,8 +11,8 @@
 //! * the micro-benchmark distributions of the trace → lower → replay
 //!   pipeline (the same bodies as `cargo bench --bench simulation`, run
 //!   through [`omega_bench::microbench`] so min/median/max are retained),
-//! * the cold `figures all` sweep wall-clock at `jobs=1` (serial replay)
-//!   and `jobs=4` (parallel staging + prefetch pool), so the
+//! * the cold `figures all` sweep wall-clock at `jobs=1` (one replay at a
+//!   time) and `jobs=4` (replays fanned out over the prefetch pool), so the
 //!   parallel-replay speedup is recorded honestly next to the numbers it
 //!   came from. `--skip-sweep` drops this (seconds vs minutes); `--tiny`
 //!   shrinks the datasets for quick local runs.
@@ -26,7 +26,7 @@ use omega_bench::ObsOptions;
 use omega_core::config::SystemConfig;
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, Target};
-use omega_core::runner::{replay, replay_parallel, run, trace_algorithm, RunConfig};
+use omega_core::runner::{replay, run, trace_algorithm, RunConfig};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
@@ -143,9 +143,7 @@ fn scale_code(scale: DatasetScale) -> &'static str {
     }
 }
 
-/// The pipeline micro-benchmarks (same bodies as `benches/simulation.rs`),
-/// plus the staged-replay variant so serial-vs-staged per-iteration cost is
-/// tracked over time even on single-core runners.
+/// The pipeline micro-benchmarks (same bodies as `benches/simulation.rs`).
 fn micro_benchmarks() -> Vec<omega_bench::microbench::BenchResult> {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
@@ -162,16 +160,6 @@ fn micro_benchmarks() -> Vec<omega_bench::microbench::BenchResult> {
     });
     grp.bench_function("replay_baseline", |b| {
         b.iter(|| black_box(replay(&raw, &meta, &SystemConfig::mini_baseline())))
-    });
-    grp.bench_function("replay_baseline_staged2", |b| {
-        b.iter(|| {
-            black_box(replay_parallel(
-                &raw,
-                &meta,
-                &SystemConfig::mini_baseline(),
-                2,
-            ))
-        })
     });
     grp.bench_function("replay_omega", |b| {
         b.iter(|| black_box(replay(&raw, &meta, &SystemConfig::mini_omega())))

@@ -8,9 +8,9 @@
 //!      abl-reorder rivals channels all
 //! ```
 //!
-//! `--jobs N` caps the total worker-thread budget (default: all cores);
-//! the session splits it between whole-experiment prefetch workers and
-//! intra-replay staging threads without oversubscribing.
+//! `--jobs N` caps the replay worker threads (default: all cores): the
+//! session fans each trace group's machine replays out over that many
+//! workers, one serial replay per worker at a time.
 //!
 //! Each experiment prints the paper's reference value next to the measured
 //! one; EXPERIMENTS.md records a captured run.

@@ -31,6 +31,21 @@ pub fn profile_report_to_json(dump: &ObsDump) -> Json {
     doc.set("schema", Json::Str(PROFILE_REPORT_SCHEMA.into()));
     doc.set("wall_ns", Json::Num(dump.wall_ns as f64));
     doc.set("coverage", Json::Num(dump.coverage()));
+    doc.set("hw_threads", Json::Num(dump.hw_threads as f64));
+    doc.set("busy_ns", Json::Num(dump.busy_ns() as f64));
+    doc.set("cpu_utilisation", Json::Num(dump.cpu_utilisation()));
+    let threads = dump
+        .threads
+        .iter()
+        .map(|t| {
+            let mut o = Json::obj();
+            o.set("tid", Json::Num(t.tid as f64));
+            o.set("busy_ns", Json::Num(t.busy_ns as f64));
+            o.set("wait_ns", Json::Num(t.wait_ns as f64));
+            o
+        })
+        .collect();
+    doc.set("threads", Json::Arr(threads));
     doc.set("spans_opened", Json::Num(dump.opened as f64));
     doc.set("spans_closed", Json::Num(dump.closed as f64));
     doc.set("open_spans", Json::Num(dump.open_spans() as f64));
@@ -48,6 +63,7 @@ pub fn profile_report_to_json(dump: &ObsDump) -> Json {
             s.set("self_ns", Json::Num(a.self_ns as f64));
             s.set("min_ns", Json::Num(a.min_ns as f64));
             s.set("max_ns", Json::Num(a.max_ns as f64));
+            s.set("wait", Json::Bool(a.wait));
             s
         })
         .collect();
@@ -67,21 +83,27 @@ fn ms(ns: u64) -> String {
 }
 
 /// Renders the human-readable profile table, ranked by self time, plus a
-/// coverage footer.
+/// coverage and a CPU-utilisation footer. `self %` is a share of the busy
+/// time summed over all threads, so the work spans total 100 %; wait
+/// spans read `wait` there instead.
 pub fn profile_table(dump: &ObsDump) -> String {
     let mut aggs = dump.aggregates.clone();
     aggs.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
     let mut t = Table::new([
         "span", "count", "total ms", "self ms", "self %", "min ms", "max ms",
     ]);
-    let wall = dump.wall_ns.max(1) as f64;
+    let busy = dump.busy_ns().max(1) as f64;
     for a in &aggs {
         t.row([
             a.name.clone(),
             a.count.to_string(),
             ms(a.total_ns),
             ms(a.self_ns),
-            format!("{:.1}", a.self_ns as f64 / wall * 100.0),
+            if a.wait {
+                "wait".to_string()
+            } else {
+                format!("{:.1}", a.self_ns as f64 / busy * 100.0)
+            },
             ms(a.min_ns),
             ms(a.max_ns),
         ]);
@@ -98,6 +120,21 @@ pub fn profile_table(dump: &ObsDump) -> String {
         dump.closed,
         dump.open_spans(),
         dump.sim_sessions.len(),
+    ));
+    for th in &dump.threads {
+        out.push_str(&format!(
+            "thread {}: busy {} ms, waiting {} ms\n",
+            th.tid,
+            ms(th.busy_ns),
+            ms(th.wait_ns)
+        ));
+    }
+    out.push_str(&format!(
+        "cpu utilisation = Σ busy / (wall × threads) = {} ms / ({} ms × {}) = {:.2}\n",
+        ms(dump.busy_ns()),
+        ms(dump.wall_ns),
+        dump.hw_threads.max(1),
+        dump.cpu_utilisation(),
     ));
     out
 }
@@ -339,7 +376,7 @@ impl ObsOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omega_sim::obs::{SimTrack, SpanAgg, SpanRecord};
+    use omega_sim::obs::{SimTrack, SpanAgg, SpanRecord, ThreadTime};
 
     fn sample_dump() -> ObsDump {
         ObsDump {
@@ -356,6 +393,7 @@ mod tests {
                     self_ns: 5_500_000,
                     min_ns: 2_500_000,
                     max_ns: 3_500_000,
+                    wait: false,
                 },
                 SpanAgg {
                     name: "store.read".into(),
@@ -364,8 +402,15 @@ mod tests {
                     self_ns: 500_000,
                     min_ns: 500_000,
                     max_ns: 500_000,
+                    wait: false,
                 },
             ],
+            threads: vec![ThreadTime {
+                tid: 1,
+                busy_ns: 6_000_000,
+                wait_ns: 0,
+            }],
+            hw_threads: 1,
             counters: vec![("store.bytes".into(), 4096)],
             spans: vec![
                 SpanRecord {
@@ -417,6 +462,86 @@ mod tests {
         assert!(s.contains("runner.replay"));
         assert!(s.contains("store.read"));
         assert!(s.contains("coverage 95.0%"));
+        assert!(s.contains("= 0.60\n"), "{s}");
+    }
+
+    fn span_agg(name: &str, self_ns: u64, wait: bool) -> SpanAgg {
+        SpanAgg {
+            name: name.into(),
+            count: 1,
+            total_ns: self_ns,
+            self_ns,
+            min_ns: self_ns,
+            max_ns: self_ns,
+            wait,
+        }
+    }
+
+    /// A prefetch on two threads: the main thread mostly waits on the
+    /// pool join while one worker replays. `self %` must be a share of
+    /// the busy time of both threads (totalling 100 %, not the 190 % a
+    /// share of single-thread wall would give), the join must read as
+    /// waiting, and the footer must give Σ busy / (wall × threads).
+    #[test]
+    fn table_shares_self_time_out_of_busy_time_across_threads() {
+        let mut dump = sample_dump();
+        dump.wall_ns = 10_000_000;
+        dump.hw_threads = 2;
+        dump.aggregates = vec![
+            span_agg("session.prefetch", 1_000_000, false),
+            span_agg("session.pool_wait", 9_000_000, true),
+            span_agg("runner.replay", 8_000_000, false),
+            span_agg("runner.trace", 1_000_000, false),
+        ];
+        dump.threads = vec![
+            ThreadTime {
+                tid: 1,
+                busy_ns: 1_000_000,
+                wait_ns: 9_000_000,
+            },
+            ThreadTime {
+                tid: 2,
+                busy_ns: 9_000_000,
+                wait_ns: 0,
+            },
+        ];
+        let table = profile_table(&dump);
+        let mut total = 0.0;
+        let mut waits = 0;
+        for line in table.lines().skip(3).take(dump.aggregates.len()) {
+            let cells: Vec<&str> = line.split_whitespace().collect();
+            match cells[4] {
+                "wait" => {
+                    assert_eq!(cells[0], "session.pool_wait");
+                    waits += 1;
+                }
+                pct => total += pct.parse::<f64>().unwrap(),
+            }
+        }
+        assert_eq!(waits, 1, "{table}");
+        assert!(
+            (total - 100.0).abs() < 0.2,
+            "self % totals {total}:\n{table}"
+        );
+        assert!(table.contains("thread 1: busy 1.00 ms, waiting 9.00 ms"));
+        assert!(table.contains("thread 2: busy 9.00 ms, waiting 0.00 ms"));
+        assert!(
+            table.contains(
+                "cpu utilisation = Σ busy / (wall × threads) = 10.00 ms / (10.00 ms × 2) = 0.50"
+            ),
+            "{table}"
+        );
+        let json = profile_report_to_json(&dump);
+        assert_eq!(
+            json.get("cpu_utilisation").and_then(Json::as_f64),
+            Some(0.5)
+        );
+        assert_eq!(
+            json.get("threads")
+                .and_then(Json::as_array)
+                .map(|t| t.len()),
+            Some(2)
+        );
     }
 
     #[test]

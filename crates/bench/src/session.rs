@@ -2,18 +2,18 @@
 
 use crate::store::ExperimentStore;
 use omega_core::config::SystemConfig;
-use omega_core::runner::{replay_report_parallel, trace_algorithm, RunConfig, RunReport, Runner};
+use omega_core::runner::{replay_report, trace_algorithm, RunConfig, RunReport, Runner};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
 use omega_ligra::algorithms::Algo;
+use omega_ligra::trace::{RawTrace, TraceMeta};
 use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Which machine a run executes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -399,6 +399,101 @@ impl From<(Dataset, AlgoKey)> for ExperimentSpec {
 /// One fully keyed experiment and its result.
 type KeyedReport = (ExperimentSpec, RunReport);
 
+/// One group's functional trace. Every replay of the group holds an
+/// [`Arc`] to it, so it is freed as soon as the group's last replay ends.
+struct GroupTrace {
+    algo: &'static str,
+    checksum: f64,
+    raw: RawTrace,
+    meta: TraceMeta,
+}
+
+/// One `(group, machine)` replay: the unit of work of the prefetch pool.
+struct Replay {
+    spec: ExperimentSpec,
+    trace: Arc<GroupTrace>,
+}
+
+/// The prefetch pool's shared work queue.
+#[derive(Default)]
+struct PoolQueue {
+    /// Index of the first group no worker has claimed for tracing.
+    next_group: usize,
+    /// Replays of traced groups, ready for any worker.
+    ready: VecDeque<Replay>,
+    /// Workers tracing a group right now; their replays are still to come.
+    tracing: usize,
+    /// A worker panicked: the others stop taking work, so the scope join
+    /// re-raises the panic promptly.
+    aborted: bool,
+}
+
+/// What a worker took from the [`PoolQueue`].
+enum Claim {
+    Trace(usize),
+    Replay(Replay),
+}
+
+/// The queue plus the condition variable idle workers wait on.
+struct Pool {
+    queue: Mutex<PoolQueue>,
+    wake: Condvar,
+}
+
+impl Pool {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolQueue> {
+        // Every update of the queue is a single field write or a push, so
+        // a panic elsewhere never leaves it half-updated.
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The next unit of work: a ready replay first, then a group to trace.
+    /// Blocks only when every group is claimed and some are still being
+    /// traced; `None` once nothing is left (or a worker panicked).
+    fn claim(&self, groups: usize) -> Option<Claim> {
+        let mut q = self.lock();
+        loop {
+            if q.aborted {
+                return None;
+            }
+            if let Some(r) = q.ready.pop_front() {
+                return Some(Claim::Replay(r));
+            }
+            if q.next_group < groups {
+                q.next_group += 1;
+                q.tracing += 1;
+                return Some(Claim::Trace(q.next_group - 1));
+            }
+            if q.tracing == 0 {
+                return None;
+            }
+            q = self.wake.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Publishes a traced group's remaining replays to every worker.
+    fn publish(&self, replays: impl Iterator<Item = Replay>) {
+        let mut q = self.lock();
+        q.ready.extend(replays);
+        q.tracing -= 1;
+        drop(q);
+        self.wake.notify_all();
+    }
+}
+
+/// Held by each pool worker: if the worker unwinds, it stops the others
+/// and wakes any that wait for its trace, so none is left blocked.
+struct AbortOnPanic<'a>(&'a Pool);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.wake.notify_all();
+        }
+    }
+}
+
 /// One `(dataset, algorithm)` trace group: the unit of functional-trace
 /// sharing. Every machine in the group replays the *same* functional
 /// trace, so a batch of specs costs one trace per group, not one per
@@ -538,10 +633,9 @@ impl Session {
         }
     }
 
-    /// Caps the total worker-thread budget (the `--jobs N` flag). The
-    /// default is [`std::thread::available_parallelism`]. The budget is
-    /// split between whole-experiment workers and intra-replay staging
-    /// threads — see [`Session::prefetch`] — and never oversubscribed.
+    /// Caps the number of replay worker threads [`Session::prefetch`]
+    /// runs (the `--jobs N` flag). The default is
+    /// [`std::thread::available_parallelism`].
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs.max(1));
         self
@@ -664,20 +758,23 @@ impl Session {
     /// hit-rate accounting — the `omega-serve` counters — stay exact.
     ///
     /// Store hits are drained first (no trace, no replay). The remaining
-    /// experiments are grouped by `(dataset, algo)`: the functional
-    /// (tracing) phase runs **once** per group and every requested
-    /// [`MachineKind`] replays the shared trace through the streaming
-    /// lowering path. The [`Session::jobs`] budget is split without
-    /// oversubscription: `min(jobs, groups)` whole-experiment workers run
-    /// concurrently, and any leftover budget (`jobs / workers`, at least 1)
-    /// becomes intra-replay staging parallelism
-    /// ([`omega_core::runner::replay_report_parallel`]) inside each worker
-    /// — so `--jobs 4` over one group stages each replay across 4 threads,
-    /// while over many groups it runs 4 serial replays side by side.
-    /// Simulations are deterministic and independent, and the staged
-    /// engine is bit-identical to the serial one, so parallel execution
+    /// experiments are grouped by `(dataset, algo)`, and the functional
+    /// (tracing) phase runs **once** per group. One `(group, machine)`
+    /// replay is the unit of work of a pool of `min(jobs, pending specs)`
+    /// workers ([`Session::jobs`]). A worker with no ready replay claims
+    /// the next untraced group, traces it, queues the group's other
+    /// machines for any worker and replays the first machine itself. The
+    /// trace is shared behind an [`Arc`] and freed after the group's last
+    /// replay, so about `jobs` traces are alive at once. A worker waits
+    /// only when every group is claimed and some are still being traced.
+    /// Simulations are deterministic and independent, so the schedule
     /// changes nothing but wall-clock time. Fresh results are persisted
     /// from the worker threads (the store is `Sync`; writes are atomic).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from any trace or replay, after the other
+    /// workers have stopped.
     pub fn prefetch<S: Into<ExperimentSpec> + Copy>(&mut self, work: &[S]) -> PrefetchReport {
         let _span = obs::span("session.prefetch");
         let candidates: Vec<ExperimentSpec> = {
@@ -711,73 +808,104 @@ impl Session {
                 self.graph(spec.dataset);
             }
         }
-        // One group per (dataset, algorithm), in first-seen order: the
-        // functional trace is shared by all of the group's machines.
         let groups = trace_groups(pending.iter().copied());
         let graphs = &self.graphs;
         let verbose = self.verbose;
         let telemetry = self.telemetry;
         let scale = self.scale;
         let store = self.store.as_ref();
-        let jobs = self.effective_jobs();
-        let workers = jobs.min(groups.len()).max(1);
-        let staging = (jobs / workers).max(1);
-        let next_group = AtomicUsize::new(0);
+        let workers = self.effective_jobs().min(pending.len());
+        let pool = Pool {
+            queue: Mutex::new(PoolQueue::default()),
+            wake: Condvar::new(),
+        };
         let results: Mutex<Vec<KeyedReport>> = Mutex::new(Vec::with_capacity(pending.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next_group.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(i) else {
-                        break;
-                    };
-                    let (d, a, machines) = (&group.dataset, &group.algo, &group.machines);
-                    let _group =
-                        obs::span_owned(format!("session.group:{}/{}", d.code(), a.name()));
-                    let g = &graphs[d];
-                    let algo = a.algo(g);
-                    if verbose {
-                        eprintln!(
-                            "  [trace] {} on {} (×{} machines)",
-                            a.name(),
-                            d.code(),
-                            machines.len()
-                        );
-                    }
-                    // All machine configurations share one core count, so
-                    // one functional trace serves every replay (the same
-                    // assumption `Runner::run_many` makes).
-                    let exec = ExecConfig {
-                        n_cores: machines[0].system().machine.core.n_cores,
-                        ..ExecConfig::default()
-                    };
-                    let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
-                    let mut batch = Vec::with_capacity(machines.len());
-                    for &m in machines {
-                        if verbose {
-                            eprintln!("  [replay] {} on {} ({})", a.name(), d.code(), m.label());
-                        }
-                        let report = replay_report_parallel(
-                            algo.name(),
-                            checksum,
-                            &raw,
-                            &meta,
-                            &Self::system_for(telemetry, m),
-                            staging,
-                        );
-                        let spec = ExperimentSpec::new(*d, *a, m);
-                        Self::persist(store, scale, telemetry, spec, &report);
-                        batch.push((spec, report));
-                    }
-                    results
-                        .lock()
-                        .expect("no panics hold the lock")
-                        .extend(batch);
-                });
+        let trace_group = |i: usize| -> Replay {
+            let group = &groups[i];
+            let (d, a) = (group.dataset, group.algo);
+            if verbose {
+                eprintln!(
+                    "  [trace] {} on {} (×{} machines)",
+                    a.name(),
+                    d.code(),
+                    group.machines.len()
+                );
             }
-        });
-        self.runs
-            .extend(results.into_inner().expect("no panics hold the lock"));
+            // All machine configurations share one core count, so one
+            // functional trace serves every replay (the same assumption
+            // `Runner::run_many` makes).
+            let exec = ExecConfig {
+                n_cores: group.machines[0].system().machine.core.n_cores,
+                ..ExecConfig::default()
+            };
+            let algo = a.algo(&graphs[&d]);
+            let (checksum, raw, meta) = trace_algorithm(&graphs[&d], algo, &exec);
+            let trace = Arc::new(GroupTrace {
+                algo: algo.name(),
+                checksum,
+                raw,
+                meta,
+            });
+            let mut replays = group.specs().map(|spec| Replay {
+                spec,
+                trace: Arc::clone(&trace),
+            });
+            let first = replays.next().expect("a trace group has a machine");
+            pool.publish(replays);
+            first
+        };
+        let run_replay = |Replay { spec, trace }: Replay| {
+            if verbose {
+                eprintln!(
+                    "  [replay] {} on {} ({})",
+                    spec.algo.name(),
+                    spec.dataset.code(),
+                    spec.machine.label()
+                );
+            }
+            let report = replay_report(
+                trace.algo,
+                trace.checksum,
+                &trace.raw,
+                &trace.meta,
+                &Self::system_for(telemetry, spec.machine),
+            );
+            Self::persist(store, scale, telemetry, spec, &report);
+            results
+                .lock()
+                .expect("no worker panics while holding the results lock")
+                .push((spec, report));
+        };
+        {
+            let _wait = obs::wait_span("session.pool_wait");
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let _abort = AbortOnPanic(&pool);
+                            while let Some(claim) = pool.claim(groups.len()) {
+                                run_replay(match claim {
+                                    Claim::Replay(r) => r,
+                                    Claim::Trace(i) => trace_group(i),
+                                });
+                            }
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    if let Err(panic) = handle.join() {
+                        // Re-raise the worker's own payload rather than the
+                        // scope's generic "a scoped thread panicked".
+                        std::panic::resume_unwind(panic);
+                    }
+                }
+            });
+        }
+        self.runs.extend(
+            results
+                .into_inner()
+                .expect("no worker panics while holding the results lock"),
+        );
         outcome_report
     }
 
@@ -800,8 +928,9 @@ impl Session {
         } else if self.load_from_store(spec) {
             RunOrigin::Store
         } else {
-            let g = self.graph(spec.dataset).clone();
-            let algo = spec.algo.algo(&g);
+            self.graph(spec.dataset);
+            let g = &self.graphs[&spec.dataset];
+            let algo = spec.algo.algo(g);
             if self.verbose {
                 eprintln!(
                     "  [run] {} on {} ({}) — {} vertices, {} arcs",
@@ -812,9 +941,7 @@ impl Session {
                     g.num_arcs()
                 );
             }
-            let report = Runner::new(Self::system_for(self.telemetry, spec.machine))
-                .parallelism(self.effective_jobs())
-                .run(&g, algo);
+            let report = Runner::new(Self::system_for(self.telemetry, spec.machine)).run(g, algo);
             Self::persist(
                 self.store.as_ref(),
                 self.scale,
@@ -1070,6 +1197,29 @@ mod tests {
             .report((Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline))
             .clone();
         assert_eq!(cached, fresh);
+    }
+
+    /// A panic in a trace or in a replay comes out of `prefetch` instead
+    /// of leaving a worker waiting for replays that will never be queued.
+    /// An undersized scratchpad scale panics when its machine is built:
+    /// as the group's first machine that happens on the tracing worker,
+    /// as its second machine on a replay.
+    #[test]
+    fn prefetch_reraises_trace_and_replay_panics() {
+        let bad = MachineKind::OmegaScaledSp { permille: 1 };
+        for machines in [[bad, MachineKind::Baseline], [MachineKind::Baseline, bad]] {
+            let work = machines.map(|m| ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, m));
+            let mut s = Session::new(DatasetScale::Tiny).verbose(false).jobs(2);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.prefetch(&work);
+            }))
+            .expect_err("the bad machine must panic out of prefetch");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("below the 64 B minimum"),
+                "{machines:?}: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -1,189 +1,110 @@
-//! Golden parallel-vs-serial equivalence suite.
-//!
-//! The staged replay engine promises *bit identity* with the serial
-//! engine: parallelism may only change wall-clock time, never a single
-//! counter. These tests pin that promise end to end — engine reports,
-//! merged memory stats, telemetry windows and latency histograms, and the
-//! serialised run-report JSON — across workloads, machine kinds, and
-//! worker counts, plus the full fuzzer oracle battery running on the
-//! parallel engine.
+//! Determinism gate for the one parallelism mechanism: `Session::prefetch`
+//! fans `(trace group, machine)` replays out over a worker pool that
+//! shares each group's one functional trace. The pool may only change
+//! wall-clock time, never a single byte of output: at `jobs` 1, 2 and 4
+//! every report, its serialised `omega-run-report` document and the
+//! persisted store entries must be byte-identical.
 
 use omega_bench::report_json::run_report_to_json;
-use omega_bench::session::{AlgoKey, MachineKind, Session};
-use omega_bench::Fuzzer;
-use omega_core::config::SystemConfig;
-use omega_core::runner::{replay_parallel, replay_report_parallel, trace_algorithm};
+use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
 use omega_graph::datasets::{Dataset, DatasetScale};
-use omega_ligra::ExecConfig;
-use omega_sim::telemetry::TelemetryConfig;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
-/// The acceptance matrix: PageRank / BFS / SSSP on baseline, OMEGA, and
-/// the locked-cache machine, with telemetry on so histogram identity is
-/// part of the contract.
-#[test]
-fn parallel_replay_is_bit_identical_across_workloads_and_machines() {
-    let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-    for algo_key in [AlgoKey::PageRank, AlgoKey::Bfs, AlgoKey::Sssp] {
-        let algo = algo_key.algo(&g);
-        for machine in [
-            MachineKind::Baseline,
-            MachineKind::Omega,
-            MachineKind::LockedCache,
-        ] {
-            let mut sys = machine.system();
-            sys.machine.telemetry = TelemetryConfig::windowed(1024);
-            let exec = ExecConfig {
-                n_cores: sys.machine.core.n_cores,
-                ..ExecConfig::default()
-            };
-            let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
-            let serial = replay_parallel(&raw, &meta, &sys, 1);
-            let serial_doc =
-                run_report_to_json(&report_at(checksum, &raw, &meta, &sys, algo_key, 1), &sys)
-                    .dump();
-            for parallelism in [2usize, 4] {
-                let label = format!(
-                    "{}@{} parallelism={parallelism}",
-                    algo_key.name(),
-                    machine.label()
-                );
-                let par = replay_parallel(&raw, &meta, &sys, parallelism);
-                assert_eq!(par.0, serial.0, "engine report diverged: {label}");
-                assert_eq!(par.1, serial.1, "memory stats diverged: {label}");
-                assert_eq!(par.2, serial.2, "hot count diverged: {label}");
-                assert_eq!(par.3, serial.3, "telemetry diverged: {label}");
-                // The whole serialised document is byte-equal, so anything
-                // a report consumer can observe is covered.
-                let par_doc = run_report_to_json(
-                    &report_at(checksum, &raw, &meta, &sys, algo_key, parallelism),
-                    &sys,
-                )
-                .dump();
-                assert_eq!(par_doc, serial_doc, "report JSON diverged: {label}");
+/// The shape of the sensitivity and rivals figures: two trace groups of
+/// unequal cost, each replayed on all ten machine kinds (the nine named
+/// ones plus a Fig. 19 `omega-spNNN` point).
+fn fanout_specs() -> Vec<ExperimentSpec> {
+    let sp = MachineKind::scaled_sp(MachineKind::Omega, 250).expect("250 ‰ is a valid scale");
+    let machines: Vec<MachineKind> = MachineKind::NAMED.into_iter().chain([sp]).collect();
+    [Dataset::Lj, Dataset::RoadCa]
+        .into_iter()
+        .flat_map(|d| {
+            machines
+                .iter()
+                .map(move |&m| ExperimentSpec::new(d, AlgoKey::PageRank, m))
+        })
+        .collect()
+}
+
+/// Every file under `root`, keyed by its path relative to `root`.
+fn store_files(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("store directory is readable") {
+            let path = entry.expect("store entry is readable").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("store file is readable");
+                files.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
             }
         }
     }
+    files
 }
 
-fn report_at(
-    checksum: f64,
-    raw: &omega_ligra::trace::RawTrace,
-    meta: &omega_ligra::trace::TraceMeta,
-    sys: &SystemConfig,
-    algo: AlgoKey,
-    parallelism: usize,
-) -> omega_core::runner::RunReport {
-    replay_report_parallel(algo.name(), checksum, raw, meta, sys, parallelism)
+/// One cold prefetch of `specs` at `jobs` workers into a fresh store:
+/// the report documents (in spec order) and the store's files.
+fn prefetch_at(jobs: usize, specs: &[ExperimentSpec]) -> (Vec<String>, BTreeMap<PathBuf, Vec<u8>>) {
+    let dir = std::env::temp_dir().join(format!(
+        "omega-parallel-replay-{}-jobs{jobs}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut session = Session::new(DatasetScale::Tiny)
+        .verbose(false)
+        .jobs(jobs)
+        .with_store(&dir)
+        .expect("temp dir is writable");
+    let outcome = session.prefetch(specs);
+    assert_eq!(
+        outcome.computed(),
+        specs.len(),
+        "jobs={jobs}: cold prefetch"
+    );
+    let docs = specs
+        .iter()
+        .map(|&spec| {
+            let report = session.report(spec).clone();
+            format!(
+                "{report:?}\n{}",
+                run_report_to_json(&report, &spec.machine.system()).dump()
+            )
+        })
+        .collect();
+    let files = store_files(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    (docs, files)
 }
 
-/// The two new rival machines (PIM ranks, specialized cache) across
-/// workloads and topologies — power-law and road network — at every
-/// worker count the CI gates use. The PIM machine's per-rank compute
-/// ledgers are globally-ordered contention state, so staging must not
-/// perturb a single counter.
 #[test]
-fn rival_machines_replay_identically_across_datasets() {
-    for dataset in [Dataset::Sd, Dataset::Usa] {
-        let g = dataset.build(DatasetScale::Tiny).unwrap();
-        for algo_key in [AlgoKey::PageRank, AlgoKey::Bfs, AlgoKey::Sssp] {
-            let algo = algo_key.algo(&g);
-            let exec = ExecConfig {
-                n_cores: MachineKind::Baseline.system().machine.core.n_cores,
-                ..ExecConfig::default()
-            };
-            let (_, raw, meta) = trace_algorithm(&g, algo, &exec);
-            for machine in [MachineKind::PimRank, MachineKind::SpecializedCache] {
-                let mut sys = machine.system();
-                sys.machine.telemetry = TelemetryConfig::windowed(1024);
-                let serial = replay_parallel(&raw, &meta, &sys, 1);
-                for parallelism in [2usize, 4] {
-                    let par = replay_parallel(&raw, &meta, &sys, parallelism);
-                    assert_eq!(
-                        par,
-                        serial,
-                        "{}-{}@{} diverged at parallelism {parallelism}",
-                        algo_key.name(),
-                        dataset.code(),
-                        machine.label()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Every machine kind the repository simulates, serial vs staged.
-#[test]
-fn all_ten_machine_kinds_replay_identically_in_parallel() {
-    let machines = [
-        MachineKind::Baseline,
-        MachineKind::Omega,
-        MachineKind::OmegaScaledSp { permille: 250 },
-        MachineKind::OmegaNoPisc,
-        MachineKind::OmegaNoSvb,
-        MachineKind::OmegaChunkMismatch,
-        MachineKind::OmegaOffchip,
-        MachineKind::LockedCache,
-        MachineKind::PimRank,
-        MachineKind::SpecializedCache,
-    ];
-    let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-    let algo = AlgoKey::PageRank.algo(&g);
-    let exec = ExecConfig {
-        n_cores: machines[0].system().machine.core.n_cores,
-        ..ExecConfig::default()
-    };
-    let (_, raw, meta) = trace_algorithm(&g, algo, &exec);
-    for machine in machines {
-        let sys = machine.system();
-        let serial = replay_parallel(&raw, &meta, &sys, 1);
-        let par = replay_parallel(&raw, &meta, &sys, 3);
-        assert_eq!(par, serial, "machine {} diverged", machine.label());
-    }
-}
-
-/// The session's replay paths (the `--jobs` surface) produce the same
-/// reports at any worker budget.
-#[test]
-fn session_reports_are_identical_at_any_jobs_setting() {
-    let work = [
-        (Dataset::Sd, AlgoKey::PageRank, MachineKind::Baseline),
-        (Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega),
-        (Dataset::Ap, AlgoKey::Cc, MachineKind::Omega),
-    ];
-    let mut reference = Session::new(DatasetScale::Tiny).verbose(false).jobs(1);
-    reference.prefetch(&work);
+fn prefetch_output_is_byte_identical_at_any_jobs() {
+    let specs = fanout_specs();
+    assert_eq!(specs.len(), 20);
+    let (reference_docs, reference_files) = prefetch_at(1, &specs);
+    assert_eq!(
+        reference_files.len(),
+        specs.len(),
+        "one store entry per spec"
+    );
     for jobs in [2usize, 4] {
-        let mut s = Session::new(DatasetScale::Tiny).verbose(false).jobs(jobs);
-        s.prefetch(&work);
-        for spec in work {
-            assert_eq!(
-                s.report(spec).clone(),
-                reference.report(spec).clone(),
-                "jobs={jobs} diverged on {:?}",
-                spec
+        let (docs, files) = prefetch_at(jobs, &specs);
+        for ((spec, doc), reference) in specs.iter().zip(&docs).zip(&reference_docs) {
+            assert_eq!(doc, reference, "jobs={jobs} diverged on {}", spec.label());
+        }
+        assert_eq!(
+            files.keys().collect::<Vec<_>>(),
+            reference_files.keys().collect::<Vec<_>>(),
+            "jobs={jobs}: store entry names differ"
+        );
+        for (path, bytes) in &files {
+            assert!(
+                *bytes == reference_files[path],
+                "jobs={jobs}: store bytes differ in {}",
+                path.display()
             );
         }
     }
-}
-
-/// The full metamorphic oracle battery (conservation audit, determinism,
-/// telemetry transparency, merge/delta identity, monotone latency, codec
-/// round trip) holds with every replay running on the staged engine —
-/// the fuzzer-as-parallel-equivalence-check mode `audit --jobs N` uses.
-#[test]
-fn fuzzer_oracles_hold_on_the_parallel_engine() {
-    let outcome = Fuzzer::new(658711).parallelism(2).run(3);
-    assert_eq!(outcome.cases_run, 3);
-    assert!(outcome.checks_run > 0);
-    assert!(
-        outcome.is_clean(),
-        "{}",
-        outcome
-            .failures
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }

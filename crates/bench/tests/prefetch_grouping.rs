@@ -1,5 +1,6 @@
 //! Regression test for the grouped prefetch: one functional trace per
-//! `(Dataset, AlgoKey)` group, shared by every requested machine.
+//! `(Dataset, AlgoKey)` group, shared by every requested machine, at any
+//! worker count.
 //!
 //! Lives in its own integration-test binary so the process-wide
 //! functional-trace counter is not disturbed by unrelated tests running
@@ -12,7 +13,13 @@ use omega_graph::datasets::{Dataset, DatasetScale};
 
 #[test]
 fn prefetch_traces_once_per_group_and_fills_every_machine() {
-    let mut s = Session::new(DatasetScale::Tiny).verbose(false);
+    for jobs in [1, 2, 4] {
+        check_one_trace_per_group(jobs);
+    }
+}
+
+fn check_one_trace_per_group(jobs: usize) {
+    let mut s = Session::new(DatasetScale::Tiny).verbose(false).jobs(jobs);
     let machines = [
         MachineKind::Baseline,
         MachineKind::Omega,
@@ -38,7 +45,7 @@ fn prefetch_traces_once_per_group_and_fills_every_machine() {
     let traced = functional_trace_count() - before;
     assert_eq!(
         traced, 3,
-        "expected one functional trace per (dataset, algo) group"
+        "jobs={jobs}: expected one functional trace per (dataset, algo) group"
     );
 
     // Every requested machine got a cached report without re-tracing, and

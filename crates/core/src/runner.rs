@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::SystemConfig;
 use crate::layout::Layout;
-use crate::lower::{CoreLoweringStream, LoweringStream, Target};
+use crate::lower::{LoweringStream, Target};
 use crate::machine::OmegaMemory;
 use omega_graph::CsrGraph;
 use omega_ligra::algorithms::Algo;
@@ -128,7 +128,6 @@ pub struct Runner {
     chunk_size: Option<usize>,
     telemetry: Option<TelemetryConfig>,
     audit: bool,
-    parallelism: usize,
 }
 
 impl Runner {
@@ -142,19 +141,7 @@ impl Runner {
             chunk_size: None,
             telemetry: None,
             audit: false,
-            parallelism: 1,
         }
-    }
-
-    /// Degree of intra-replay parallelism. `1` (the default) is the exact
-    /// serial engine; `n >= 2` stages the per-core lowering on `n - 1`
-    /// worker threads while the timing loop runs on the calling thread
-    /// (`n` threads total), with bit-identical results — see
-    /// [`omega_sim::engine`]'s staged-replay docs. Values are clamped to
-    /// at least 1.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
-        self
     }
 
     /// Adds another machine replaying the same functional trace. All
@@ -253,9 +240,7 @@ impl Runner {
         let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
         self.resolved_systems()
             .iter()
-            .map(|sys| {
-                replay_report_parallel(algo.name(), checksum, &raw, &meta, sys, self.parallelism)
-            })
+            .map(|sys| replay_report(algo.name(), checksum, &raw, &meta, sys))
             .collect()
     }
 
@@ -268,7 +253,7 @@ impl Runner {
         self.resolved_systems()
             .iter()
             .map(|sys| {
-                let (parts, audit) = replay_audited_parallel(&raw, &meta, sys, self.parallelism);
+                let (parts, audit) = replay_audited(&raw, &meta, sys);
                 (
                     report_from_parts(algo.name(), checksum, &meta, sys, parts),
                     audit,
@@ -371,20 +356,7 @@ pub fn replay(
     meta: &TraceMeta,
     system: &SystemConfig,
 ) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
-    replay_impl(raw, meta, system, None, 1)
-}
-
-/// Like [`replay`], with intra-replay staging parallelism: `parallelism
-/// >= 2` lowers the per-core streams on `parallelism - 1` worker threads
-/// while the timing loop runs on the calling thread. Results are
-/// bit-identical to [`replay`] for every `parallelism` value.
-pub fn replay_parallel(
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    parallelism: usize,
-) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
-    replay_impl(raw, meta, system, None, parallelism)
+    replay_impl(raw, meta, system, None)
 }
 
 /// Like [`replay`], but runs the model-conservation audit alongside: each
@@ -399,23 +371,8 @@ pub fn replay_audited(
     (EngineReport, MemStats, u32, Option<TelemetryReport>),
     AuditReport,
 ) {
-    replay_audited_parallel(raw, meta, system, 1)
-}
-
-/// Like [`replay_audited`], with intra-replay staging parallelism (see
-/// [`replay_parallel`]). The audit runs on the merged state exactly as in
-/// the serial path.
-pub fn replay_audited_parallel(
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    parallelism: usize,
-) -> (
-    (EngineReport, MemStats, u32, Option<TelemetryReport>),
-    AuditReport,
-) {
     let mut report = AuditReport::new();
-    let parts = replay_impl(raw, meta, system, Some(&mut report), parallelism);
+    let parts = replay_impl(raw, meta, system, Some(&mut report));
     audit::check_engine(&parts.0, &mut report);
     if let Some(telemetry) = &parts.3 {
         audit::check_telemetry(&parts.1, telemetry, &mut report);
@@ -428,7 +385,6 @@ fn replay_impl(
     meta: &TraceMeta,
     system: &SystemConfig,
     mut audit: Option<&mut AuditReport>,
-    parallelism: usize,
 ) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
     let _span = obs::span("runner.replay");
     // In trace mode, scope a simulated session so the memory models built
@@ -437,18 +393,9 @@ fn replay_impl(
     let _sim = obs::sim_session(system.label());
     TIMING_REPLAYS.fetch_add(1, Ordering::Relaxed);
     let layout = Layout::new(meta);
-    // `parallelism == 1` is the exact serial engine (a multi-core
-    // `LoweringStream` pulled inline by `run_source`); `>= 2` stages the
-    // same lowering on `parallelism - 1` worker threads. Both paths feed
-    // identical per-core op sequences into the identical timing loop.
     let run = |target: Target, mem: &mut dyn MemorySystem| -> EngineReport {
-        if parallelism >= 2 {
-            let streams = CoreLoweringStream::split(raw, &layout, target);
-            engine::run_staged(streams, &mut *mem, &system.machine, parallelism - 1)
-        } else {
-            let mut stream = LoweringStream::new(raw, &layout, target);
-            engine::run_source(&mut stream, &mut *mem, &system.machine)
-        }
+        let mut stream = LoweringStream::new(raw, &layout, target);
+        engine::run_source(&mut stream, mem, &system.machine)
     };
     if system.is_omega() {
         let mut mem = OmegaMemory::new(system, layout.clone(), meta);
@@ -511,21 +458,7 @@ pub fn replay_report(
     meta: &TraceMeta,
     system: &SystemConfig,
 ) -> RunReport {
-    replay_report_parallel(algo_name, checksum, raw, meta, system, 1)
-}
-
-/// Like [`replay_report`], with intra-replay staging parallelism (see
-/// [`replay_parallel`]); the report is bit-identical for every
-/// `parallelism` value.
-pub fn replay_report_parallel(
-    algo_name: &str,
-    checksum: f64,
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    parallelism: usize,
-) -> RunReport {
-    let parts = replay_parallel(raw, meta, system, parallelism);
+    let parts = replay(raw, meta, system);
     report_from_parts(algo_name, checksum, meta, system, parts)
 }
 

@@ -82,7 +82,6 @@ fn main() -> ExitCode {
 
     obs.install();
     let workers = config.effective_workers();
-    let staging = config.effective_staging();
     let queue = config.queue_depth;
     let handle = match serve(config) {
         Ok(h) => h,
@@ -92,9 +91,7 @@ fn main() -> ExitCode {
         }
     };
     let addr = handle.addr();
-    eprintln!(
-        "omega-serve: listening on {addr} (workers={workers}, staging={staging}, queue={queue})"
-    );
+    eprintln!("omega-serve: listening on {addr} (workers={workers}, queue={queue})");
     if let Some(path) = &port_file {
         if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
             eprintln!("omega-serve: cannot write port file {path}: {e}");

@@ -7,12 +7,11 @@
 //! busy-cycle counter divided by elapsed time is the Fig. 16 "DRAM bandwidth
 //! utilisation" metric.
 //!
-//! In the parallel-replay discipline (see `engine`'s module docs) the
-//! per-channel ledgers — backlog, last-arrival, busy cycles, and the
+//! The per-channel ledgers — backlog, last-arrival, busy cycles, and the
 //! open-row state behind [`RowMode::OpenPage`] — are **globally-ordered
 //! contention state**: every access consults and mutates its channel in
 //! causal order with zero lookahead, so the DRAM model is owned by the
-//! single timing thread and is never sharded across staging workers.
+//! replay's single timing thread (see `engine`'s module docs).
 
 use crate::audit::AuditReport;
 use crate::config::DramConfig;

@@ -18,10 +18,10 @@
 //!
 //! The L2 is inclusive: evicting an L2 victim back-invalidates L1 copies.
 //!
-//! ## State classes under parallel replay
+//! ## State classes
 //!
-//! The hierarchy's state splits into two classes with different rules in
-//! the staged-replay discipline (see `engine`'s module docs):
+//! The hierarchy's state splits into two classes (see `engine`'s module
+//! docs for why the timing loop is serial):
 //!
 //! * **Per-core-accumulable** — the [`CoreCounters`] banks (`l1_stats`,
 //!   `l2_stats`) and the per-instance [`CacheArray`]s: each index is
@@ -32,8 +32,8 @@
 //!   `line_locks`, the [`Crossbar`] port ledgers, and the [`DramModel`]
 //!   channel ledgers: consulted with zero lookahead and mutated by every
 //!   access in causal order, so they must only ever be touched by the
-//!   single timing thread. This is why parallelism lives in op *staging*
-//!   (lowering), never in timing itself.
+//!   single timing thread. This is why host parallelism runs whole
+//!   replays side by side, never inside one.
 
 use crate::audit::{self, AuditReport};
 use crate::cache::{CacheArray, LineState};

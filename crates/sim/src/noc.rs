@@ -16,12 +16,11 @@
 //! pressure — the amount by which packet arrivals outpace each port's
 //! drain rate within the run.
 //!
-//! In the parallel-replay discipline (see `engine`'s module docs) every
-//! port ledger here — busy cycles, last arrival, backlog, the
+//! Every port ledger here — busy cycles, last arrival, backlog, the
 //! `accounted_packets` conservation counter — is **globally-ordered
 //! contention state**: each `send` reads and updates it with zero
-//! lookahead, so the crossbar must only ever be driven by the single
-//! timing thread, never sharded across staging workers.
+//! lookahead, so the crossbar must only ever be driven by the replay's
+//! single timing thread (see `engine`'s module docs).
 
 use crate::audit::AuditReport;
 use crate::config::NocConfig;

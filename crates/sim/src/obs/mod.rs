@@ -9,7 +9,9 @@
 //!   monotonic clock, nested per thread. Every close updates a per-name
 //!   aggregate (count / total / self / min / max); in trace mode the full
 //!   span record is kept as well, so the timeline can be exported as
-//!   Chrome Trace Events (see `omega_bench::obs_report`).
+//!   Chrome Trace Events (see `omega_bench::obs_report`). Each thread's
+//!   self time is also summed per thread, split into *busy* (work spans)
+//!   and *waiting* ([`wait_span`]), which gives CPU utilisation.
 //! * **Simulated-time intervals** ([`IntervalRecorder`], [`sim_session`]):
 //!   per-core epoch activity, DRAM channel busy windows and NoC
 //!   contention bursts, in *cycles*, grouped per replay session so host
@@ -38,7 +40,7 @@ pub mod sim;
 pub mod span;
 
 pub use sim::{sim_active, sim_session, IntervalRecorder, SimSession, SimTrack};
-pub use span::{span, span_owned, Span};
+pub use span::{span, span_owned, wait_span, Span};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -122,6 +124,20 @@ pub struct SpanAgg {
     pub min_ns: u64,
     /// Longest single span.
     pub max_ns: u64,
+    /// Whether this is a [`wait_span`]: its self time is waiting, not work.
+    pub wait: bool,
+}
+
+/// Self time summed over every span one thread closed: the thread's busy
+/// time (work spans) and its waiting time ([`wait_span`]s).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ThreadTime {
+    /// Thread id (see [`tid`]).
+    pub tid: u64,
+    /// Self ns of the thread's work spans.
+    pub busy_ns: u64,
+    /// Self ns of the thread's wait spans.
+    pub wait_ns: u64,
 }
 
 /// One fully recorded span (trace mode only).
@@ -146,6 +162,7 @@ struct AggCell {
     self_ns: u64,
     min_ns: u64,
     max_ns: u64,
+    wait: bool,
 }
 
 #[derive(Default)]
@@ -154,6 +171,7 @@ pub(crate) struct Registry {
     main_tid: u64,
     aggregates: HashMap<String, AggCell>,
     root_ns_main: u64,
+    threads: HashMap<u64, ThreadTime>,
     counters: HashMap<String, u64>,
     spans: Vec<SpanRecord>,
     spans_dropped: u64,
@@ -213,6 +231,12 @@ pub struct ObsDump {
     pub root_ns_main: u64,
     /// Per-name aggregates, sorted by name for determinism.
     pub aggregates: Vec<SpanAgg>,
+    /// Busy and waiting time per thread, sorted by thread id.
+    pub threads: Vec<ThreadTime>,
+    /// Hardware threads of the host
+    /// ([`std::thread::available_parallelism`]) — the denominator of
+    /// [`ObsDump::cpu_utilisation`].
+    pub hw_threads: u64,
     /// Named counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Full span records (trace mode only), in close order.
@@ -242,6 +266,22 @@ impl ObsDump {
         }
         self.root_ns_main as f64 / self.wall_ns as f64
     }
+
+    /// Busy time summed over every thread.
+    pub fn busy_ns(&self) -> u64 {
+        self.threads.iter().map(|t| t.busy_ns).sum()
+    }
+
+    /// `Σ busy / (wall × hardware threads)`: the share of the host's CPU
+    /// capacity spent inside work spans. Busy time is wall-clock, so a
+    /// pool with more workers than hardware threads can read above 1.
+    pub fn cpu_utilisation(&self) -> f64 {
+        let capacity = self.wall_ns as f64 * self.hw_threads.max(1) as f64;
+        if capacity == 0.0 {
+            return 0.0;
+        }
+        self.busy_ns() as f64 / capacity
+    }
 }
 
 /// Disables observability and drains the registry into an [`ObsDump`].
@@ -259,9 +299,12 @@ pub fn drain() -> ObsDump {
             self_ns: a.self_ns,
             min_ns: a.min_ns,
             max_ns: a.max_ns,
+            wait: a.wait,
         })
         .collect();
     aggregates.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut threads: Vec<ThreadTime> = r.threads.drain().map(|(_, t)| t).collect();
+    threads.sort_by_key(|t| t.tid);
     let mut counters: Vec<(String, u64)> = r.counters.drain().collect();
     counters.sort();
     let dump = ObsDump {
@@ -271,6 +314,8 @@ pub fn drain() -> ObsDump {
         closed: CLOSED.swap(0, Ordering::SeqCst),
         root_ns_main: std::mem::take(&mut r.root_ns_main),
         aggregates,
+        threads,
+        hw_threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
         counters,
         spans: std::mem::take(&mut r.spans),
         spans_dropped: std::mem::take(&mut r.spans_dropped),
@@ -323,6 +368,7 @@ pub(crate) fn record_close(
     dur_ns: u64,
     self_ns: u64,
     depth: u32,
+    wait: bool,
 ) {
     CLOSED.fetch_add(1, Ordering::Relaxed);
     let keep_record = trace_enabled();
@@ -338,6 +384,16 @@ pub(crate) fn record_close(
     a.count += 1;
     a.total_ns += dur_ns;
     a.self_ns += self_ns;
+    a.wait = wait;
+    let thread = r.threads.entry(t).or_insert(ThreadTime {
+        tid: t,
+        ..ThreadTime::default()
+    });
+    if wait {
+        thread.wait_ns += self_ns;
+    } else {
+        thread.busy_ns += self_ns;
+    }
     if depth == 0 && t == r.main_tid {
         r.root_ns_main += dur_ns;
     }

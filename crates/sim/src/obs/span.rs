@@ -4,7 +4,9 @@
 //! on a thread-aware monotonic clock. Spans nest per thread via a
 //! thread-local stack that also attributes *self time*: each close
 //! subtracts the time spent in child spans opened on the same thread, so
-//! a hot leaf is visible even when buried under wrapper spans. When
+//! a hot leaf is visible even when buried under wrapper spans. A
+//! [`wait_span`] marks time a thread spends blocked (a pool join), so the
+//! registry books its self time as waiting rather than work. When
 //! observability is off (`obs::profiling_enabled() == false`), [`span`]
 //! is a single relaxed atomic load returning an inert guard.
 
@@ -26,6 +28,7 @@ pub struct Span(Option<SpanInner>);
 struct SpanInner {
     name: Cow<'static, str>,
     start_ns: u64,
+    wait: bool,
 }
 
 /// Opens a span with a static name. One branch when observability is off.
@@ -34,7 +37,17 @@ pub fn span(name: &'static str) -> Span {
     if !profiling_enabled() {
         return Span(None);
     }
-    open(Cow::Borrowed(name))
+    open(Cow::Borrowed(name), false)
+}
+
+/// Opens a span whose self time is the calling thread *waiting* (e.g. on
+/// a worker-pool join), not working. One branch when observability is off.
+#[inline]
+pub fn wait_span(name: &'static str) -> Span {
+    if !profiling_enabled() {
+        return Span(None);
+    }
+    open(Cow::Borrowed(name), true)
 }
 
 /// Opens a span with a dynamically built name (e.g. `figure.table1`).
@@ -43,15 +56,16 @@ pub fn span_owned(name: String) -> Span {
     if !profiling_enabled() {
         return Span(None);
     }
-    open(Cow::Owned(name))
+    open(Cow::Owned(name), false)
 }
 
-fn open(name: Cow<'static, str>) -> Span {
+fn open(name: Cow<'static, str>, wait: bool) -> Span {
     bump_opened();
     STACK.with(|s| s.borrow_mut().push(0));
     Span(Some(SpanInner {
         name,
         start_ns: now_ns(),
+        wait,
     }))
 }
 
@@ -74,6 +88,7 @@ impl Drop for Span {
             dur_ns,
             dur_ns.saturating_sub(child_ns),
             depth,
+            inner.wait,
         );
     }
 }

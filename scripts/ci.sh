@@ -9,6 +9,12 @@ cargo test -q --workspace
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package (omega-perf) stands outside the workspace and
+# builds against the crates' public API by path, so an API change that
+# breaks it must fail here rather than at benchmark time.
+cargo build --release --offline --manifest-path omega-perf/Cargo.toml
+cargo test --offline --manifest-path omega-perf/Cargo.toml
+
 # Machine-readable smoke artifacts: the validation report and one telemetry
 # dump (exercises the --json path and the stats binary end to end).
 cargo run --release -q -p omega-bench --bin validate -- --json \
@@ -22,20 +28,18 @@ echo "ci: wrote target/validate-report.json and target/telemetry-sample.json"
 # invariant checker (including the PIM-rank and specialized-cache rivals),
 # and seeded differential config fuzzing. A fixed seed
 # keeps the fuzz stream reproducible; the JSON report is a CI artifact.
-# --jobs 2 runs every replay on the staged parallel engine, so the gate
-# doubles as a parallel-vs-serial equivalence check.
 cargo run --release -q -p omega-bench --bin audit -- \
-  --quick --seed 658711 --jobs 2 --out target/audit-report.json
+  --quick --seed 658711 --out target/audit-report.json
 echo "ci: wrote target/audit-report.json"
 
 # Performance snapshot (omega-bench-report/v1): microbench distributions
 # plus the cold figures-all sweep wall-clock at jobs=1 and jobs=4 — the
-# parallel-replay speedup is recorded in the same file. The full diff
-# against the committed snapshot prints the perf trajectory
-# (informational); the enforced pass re-checks only the end-to-end sweep
-# wall-clocks and fails the build past a generous 50% regression — wide
-# enough for shared-runner noise, tight enough to catch a serialisation
-# bug in the staged engine.
+# speedup of fanning replays out over the prefetch pool is recorded in the
+# same file. The full diff against the committed snapshot prints the perf
+# trajectory (informational); the enforced pass re-checks only the
+# end-to-end sweep wall-clocks and fails the build past a generous 50%
+# regression — wide enough for shared-runner noise, tight enough to catch
+# a prefetch pool that stops running replays side by side.
 ./target/release/bench --out target/BENCH_sim.json
 ./target/release/stats bench-diff BENCH_sim.json target/BENCH_sim.json || true
 ./target/release/stats bench-diff BENCH_sim.json target/BENCH_sim.json \
@@ -55,7 +59,7 @@ echo "ci: wrote target/trace-sample.json"
 # Warm-store determinism gate: a second figure sweep against the same store
 # must be byte-identical on stdout and perform zero functional traces and
 # zero timing replays (everything served from the content-addressed cache).
-# --jobs 4 runs the cold sweep through the parallel prefetch/staging path,
+# --jobs 4 fans the cold sweep's replays out over four prefetch workers,
 # so the gate also proves parallel replay feeds the store bit-identically.
 store_dir=$(mktemp -d)
 serve_pid=""
