@@ -35,7 +35,7 @@ use omega_bench::{ExperimentStore, ObsOptions, Table};
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
 use omega_core::runner::{
-    functional_trace_count, run, timing_replay_count, trace_algorithm, ExecConfigSer, RunConfig,
+    functional_trace_count, run, timing_replay_count, trace_algorithm, RunConfig,
 };
 use omega_energy::{energy_breakdown, node_table};
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -299,7 +299,7 @@ impl ValueCache {
         &self,
         kind: &str,
         label: &str,
-        exec: Option<&ExecConfigSer>,
+        exec: Option<&ExecConfig>,
         parts: impl Fn(&mut Fnv64),
         decode: impl Fn(&Json) -> Option<T>,
         compute: impl FnOnce() -> Json,
@@ -406,7 +406,7 @@ fn table2(s: &mut Session, vc: &ValueCache) {
         "graph algorithm characterisation, measured on ap (paper Table II)",
     );
     let g = s.graph(Dataset::Ap).clone(); // symmetric: every algorithm runs
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
+    let exec = ExecConfig::default();
     let mut t = Table::new([
         "algo",
         "atomic op",
@@ -423,7 +423,7 @@ fn table2(s: &mut Session, vc: &ValueCache) {
         let (atomic, random, monitored) = vc.get_or(
             "table2-trace-class",
             &format!("table2-{}-{}", key.name(), Dataset::Ap.code()),
-            Some(&exec_ser),
+            Some(&exec),
             |h| {
                 h.write_str(Dataset::Ap.code());
                 h.write_str(key.name());
@@ -436,7 +436,7 @@ fn table2(s: &mut Session, vc: &ValueCache) {
                 ))
             },
             || {
-                let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+                let (_, raw, meta) = trace_algorithm(&g, algo, &exec);
                 let c = raw.classify();
                 let monitored = meta.props.iter().filter(|p| p.monitored).count();
                 let mut o = Json::obj();
@@ -495,7 +495,7 @@ fn table3() {
         "-".into(),
         format!(
             "{} KB, 3-cycle",
-            omega.omega.unwrap().sp_bytes_per_core / 1024
+            omega.omega().unwrap().sp_bytes_per_core / 1024
         ),
     ]);
     t.row([
@@ -584,11 +584,11 @@ fn fig4a(s: &mut Session) {
 /// workload.
 fn prop_share(s: &mut Session, vc: &ValueCache, d: Dataset, a: AlgoKey) -> f64 {
     let g = s.graph(d).clone();
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
+    let exec = ExecConfig::default();
     vc.get_or(
         "prop-share",
         &format!("prop-share-{}-{}", a.name(), d.code()),
-        Some(&exec_ser),
+        Some(&exec),
         |h| {
             h.write_str(d.code());
             h.write_str(a.name());
@@ -596,7 +596,7 @@ fn prop_share(s: &mut Session, vc: &ValueCache, d: Dataset, a: AlgoKey) -> f64 {
         },
         |v| jf_get(v, "share"),
         || {
-            let (_, raw, _) = trace_algorithm(&g, a.algo(&g), &ExecConfig::default());
+            let (_, raw, _) = trace_algorithm(&g, a.algo(&g), &exec);
             let hot = (g.num_vertices() as f64 * 0.2).ceil() as u32;
             let mut o = Json::obj();
             o.set("share", jf(raw.prop_access_fraction_below(hot)));
@@ -1332,11 +1332,11 @@ fn abl_graphmat(s: &mut Session, vc: &ValueCache) {
 
     // GraphMat trace, replayed on both machines (cached as one value: the
     // trace is shared, so the two replays always happen together).
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
+    let exec = ExecConfig::default();
     let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = vc.get_or(
         "abl-graphmat",
         &format!("abl-graphmat-pagerank-{}", Dataset::Lj.code()),
-        Some(&exec_ser),
+        Some(&exec),
         |h| {
             h.write_str(Dataset::Lj.code());
             h.write_str("graphmat-pagerank");
@@ -1351,7 +1351,6 @@ fn abl_graphmat(s: &mut Session, vc: &ValueCache) {
             ))
         },
         || {
-            let exec = ExecConfig::default();
             let mut tracer = CollectingTracer::new(exec.n_cores);
             let mut ctx = Ctx::new(exec, &mut tracer);
             graphmat::pagerank_graphmat(&g, &mut ctx, 1);
@@ -1502,12 +1501,12 @@ fn channels(s: &mut Session, vc: &ValueCache) {
         }
         out
     };
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
+    let exec = ExecConfig::default();
     let g = s.graph(Dataset::Lj).clone();
     let cycles: Vec<u64> = vc.get_or(
         "channels",
         &format!("channels-pagerank-{}", Dataset::Lj.code()),
-        Some(&exec_ser),
+        Some(&exec),
         |h| {
             h.write_str(Dataset::Lj.code());
             h.write_str("pagerank");
@@ -1528,7 +1527,7 @@ fn channels(s: &mut Session, vc: &ValueCache) {
         },
         || {
             let algo = AlgoKey::PageRank.algo(&g);
-            let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+            let (_, raw, meta) = trace_algorithm(&g, algo, &exec);
             let mut o = Json::obj();
             for ch in CHANNELS {
                 for (label, sys) in systems(ch) {
@@ -1572,7 +1571,7 @@ fn abl_atomics(s: &mut Session, vc: &ValueCache) {
     use omega_core::layout::Layout;
     use omega_core::lower::{lower, Target};
     use omega_sim::{engine, hierarchy::CacheHierarchy};
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
+    let exec = ExecConfig::default();
     let mut t = Table::new([
         "workload",
         "with atomics",
@@ -1589,7 +1588,7 @@ fn abl_atomics(s: &mut Session, vc: &ValueCache) {
         let (atomic, plain) = vc.get_or(
             "abl-atomics",
             &format!("abl-atomics-{}-{}", a.name(), d.code()),
-            Some(&exec_ser),
+            Some(&exec),
             |h| {
                 h.write_str(d.code());
                 h.write_str(a.name());
@@ -1598,7 +1597,7 @@ fn abl_atomics(s: &mut Session, vc: &ValueCache) {
             |v| Some((ju_get(v, "atomic")?, ju_get(v, "plain")?)),
             || {
                 let algo = a.algo(&g);
-                let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+                let (_, raw, meta) = trace_algorithm(&g, algo, &exec);
                 let layout = Layout::new(&meta);
                 let machine = SystemConfig::mini_baseline().machine;
                 let run_with = |target: Target| {

@@ -128,8 +128,7 @@ fn dump(args: &[String]) -> ExitCode {
     let report = session
         .report(ExperimentSpec::new(dataset, algo, machine))
         .clone();
-    let mut system = machine.system();
-    system.machine.telemetry = session.telemetry_config();
+    let system = Session::system_for(session.telemetry_config(), machine);
     let mut doc = run_report_to_json(&report, &system);
     doc.set("dataset", Json::Str(dataset.code().into()));
     if let Some(store) = session.store() {

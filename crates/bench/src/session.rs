@@ -1,7 +1,7 @@
 //! Memoising experiment runner shared by all figures.
 
 use crate::store::ExperimentStore;
-use omega_core::config::SystemConfig;
+use omega_core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
 use omega_core::runner::{replay_report, trace_algorithm, RunConfig, RunReport, Runner};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -11,6 +11,7 @@ use omega_ligra::trace::{RawTrace, TraceMeta};
 use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
+use omega_sim::MachineConfig;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -77,11 +78,9 @@ impl MachineKind {
     /// the Fig. 19 scratchpad scale to `base`. Rejects a permille whose
     /// scaled scratchpad would fall below [`MachineKind::MIN_SP_BYTES`]
     /// (instead of silently simulating a larger machine than the label
-    /// claims), and rejects scaling on a machine with no scratchpad —
-    /// previously `with_scratchpad_bytes` would silently ignore the scale
-    /// and simulate the unscaled machine under the scaled label.
+    /// claims), and rejects scaling on a machine with no scratchpad.
     pub fn scaled_sp(base: MachineKind, permille: u32) -> Result<MachineKind, OmegaError> {
-        let Some(omega) = base.system().omega else {
+        let Some(&omega) = base.system().omega() else {
             return Err(OmegaError::InvalidConfig(format!(
                 "machine '{}' has no scratchpad to scale",
                 base.label()
@@ -145,16 +144,17 @@ impl MachineKind {
     ///
     /// Panics for an [`MachineKind::OmegaScaledSp`] whose scaled scratchpad
     /// falls below [`MachineKind::MIN_SP_BYTES`] — use
-    /// [`MachineKind::scaled_sp`] to construct validated instances. (An
-    /// earlier version silently clamped the size upward, which simulated a
-    /// different machine than the label claimed.)
+    /// [`MachineKind::scaled_sp`] to construct validated instances.
     pub fn system(self) -> SystemConfig {
+        let omega = |cfg: OmegaConfig| {
+            SystemConfig::omega_from_baseline(MachineConfig::mini_baseline(), cfg)
+        };
+        let standard = OmegaConfig::default();
         match self {
             MachineKind::Baseline => SystemConfig::mini_baseline(),
             MachineKind::Omega => SystemConfig::mini_omega(),
             MachineKind::OmegaScaledSp { permille } => {
-                let base = SystemConfig::mini_omega();
-                let sp = base.omega.unwrap().sp_bytes_per_core * permille as u64 / 1000;
+                let sp = standard.sp_bytes_per_core * permille as u64 / 1000;
                 assert!(
                     sp >= Self::MIN_SP_BYTES,
                     "OmegaScaledSp {{ permille: {permille} }} yields a {sp} B/core \
@@ -162,29 +162,28 @@ impl MachineKind {
                      use MachineKind::scaled_sp to validate",
                     Self::MIN_SP_BYTES
                 );
-                base.with_scratchpad_bytes(sp)
+                omega(OmegaConfig {
+                    sp_bytes_per_core: sp,
+                    ..standard
+                })
             }
-            MachineKind::OmegaNoPisc => {
-                let mut s = SystemConfig::mini_omega();
-                s.omega.as_mut().unwrap().pisc_enabled = false;
-                s
-            }
-            MachineKind::OmegaNoSvb => {
-                let mut s = SystemConfig::mini_omega();
-                s.omega.as_mut().unwrap().svb_enabled = false;
-                s
-            }
-            MachineKind::OmegaChunkMismatch => {
-                let mut s = SystemConfig::mini_omega();
-                // Framework schedules with chunk 4; map scratchpads with 64.
-                s.omega.as_mut().unwrap().mapping_chunk = 64;
-                s
-            }
-            MachineKind::OmegaOffchip => {
-                let mut s = SystemConfig::mini_omega();
-                s.omega.as_mut().unwrap().ext = omega_core::config::OffchipExtensions::all();
-                s
-            }
+            MachineKind::OmegaNoPisc => omega(OmegaConfig {
+                pisc_enabled: false,
+                ..standard
+            }),
+            MachineKind::OmegaNoSvb => omega(OmegaConfig {
+                svb_enabled: false,
+                ..standard
+            }),
+            // Framework schedules with chunk 4; map scratchpads with 64.
+            MachineKind::OmegaChunkMismatch => omega(OmegaConfig {
+                mapping_chunk: 64,
+                ..standard
+            }),
+            MachineKind::OmegaOffchip => omega(OmegaConfig {
+                ext: OffchipExtensions::all(),
+                ..standard
+            }),
             MachineKind::LockedCache => SystemConfig::mini_locked_cache(),
             MachineKind::PimRank => SystemConfig::mini_pim_rank(),
             MachineKind::SpecializedCache => SystemConfig::mini_specialized_cache(),
@@ -684,8 +683,9 @@ impl Session {
     }
 
     /// The machine configuration for `m` with the given telemetry setting
-    /// applied.
-    fn system_for(telemetry: TelemetryConfig, m: MachineKind) -> SystemConfig {
+    /// applied: the one definition behind every store fingerprint, shared
+    /// by the batch tools and `omega-serve`.
+    pub fn system_for(telemetry: TelemetryConfig, m: MachineKind) -> SystemConfig {
         let mut sys = m.system();
         sys.machine.telemetry = telemetry;
         sys
@@ -970,6 +970,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omega_core::config::Extension;
 
     #[test]
     fn session_memoises_runs() {
@@ -990,35 +991,37 @@ mod tests {
 
     #[test]
     fn machine_kinds_produce_expected_configs() {
-        assert!(!MachineKind::Baseline.system().is_omega());
-        assert!(MachineKind::Omega.system().is_omega());
-        let half = MachineKind::OmegaScaledSp { permille: 500 }.system();
+        let omega = |m: MachineKind| match m.system().extension {
+            Extension::Omega(o) => o,
+            other => panic!("{m} is not an omega machine: {other:?}"),
+        };
+        let standard = omega(MachineKind::Omega);
+        assert_eq!(MachineKind::Baseline.system().extension, Extension::None);
         assert_eq!(
-            half.omega.unwrap().sp_bytes_per_core * 2,
-            MachineKind::Omega.system().omega.unwrap().sp_bytes_per_core
+            omega(MachineKind::OmegaScaledSp { permille: 500 }).sp_bytes_per_core * 2,
+            standard.sp_bytes_per_core
         );
-        assert!(
-            !MachineKind::OmegaNoPisc
-                .system()
-                .omega
-                .unwrap()
-                .pisc_enabled
-        );
-        assert!(!MachineKind::OmegaNoSvb.system().omega.unwrap().svb_enabled);
+        assert!(!omega(MachineKind::OmegaNoPisc).pisc_enabled);
+        assert!(!omega(MachineKind::OmegaNoSvb).svb_enabled);
+        assert_eq!(omega(MachineKind::OmegaChunkMismatch).mapping_chunk, 64);
+        assert!(omega(MachineKind::OmegaOffchip).ext.any());
+        assert!(matches!(
+            MachineKind::LockedCache.system().extension,
+            Extension::LockedCache { .. }
+        ));
+        assert!(matches!(
+            MachineKind::PimRank.system().extension,
+            Extension::PimRank(_)
+        ));
+        assert!(matches!(
+            MachineKind::SpecializedCache.system().extension,
+            Extension::SpecializedCache(_)
+        ));
+        assert_eq!(MachineKind::PimRank.system().label(), "pim-rank");
         assert_eq!(
-            MachineKind::OmegaChunkMismatch
-                .system()
-                .omega
-                .unwrap()
-                .mapping_chunk,
-            64
+            MachineKind::SpecializedCache.system().label(),
+            "specialized-cache"
         );
-        let pim = MachineKind::PimRank.system();
-        assert!(pim.pim_rank.is_some() && pim.omega.is_none());
-        let sc = MachineKind::SpecializedCache.system();
-        assert!(sc.specialized_cache.is_some() && sc.omega.is_none());
-        assert_eq!(pim.label(), "pim-rank");
-        assert_eq!(sc.label(), "specialized-cache");
     }
 
     #[test]
@@ -1034,15 +1037,12 @@ mod tests {
         let sys = MachineKind::scaled_sp(MachineKind::Omega, 8)
             .unwrap()
             .system();
-        assert_eq!(sys.omega.unwrap().sp_bytes_per_core, 65);
+        assert_eq!(sys.omega().unwrap().sp_bytes_per_core, 65);
     }
 
     #[test]
     fn scaled_sp_rejects_scratchpad_less_machines() {
-        // The scratchpad-less kinds have nothing to scale; rejecting is
-        // better than the old behaviour, where `with_scratchpad_bytes`
-        // silently no-opped and the unscaled machine ran under a scaled
-        // label.
+        // The scratchpad-less kinds have nothing to scale.
         for m in [
             MachineKind::PimRank,
             MachineKind::SpecializedCache,

@@ -3,7 +3,7 @@
 //! Every simulated [`RunReport`] (and every trace-derived figure value) is
 //! keyed by a stable 64-bit fingerprint of everything that determines it:
 //! dataset + scale, algorithm, the complete [`SystemConfig`] and
-//! [`ExecConfigSer`], and the store format version (see
+//! [`ExecConfig`], and the store format version (see
 //! [`crate::session::ExperimentSpec::fingerprint`] and the canonicalisation
 //! machinery in `omega_sim::fingerprint`). Entries live under the store
 //! root sharded by fingerprint prefix:
@@ -29,8 +29,9 @@
 
 use crate::json::Json;
 use omega_core::config::SystemConfig;
-use omega_core::runner::{ExecConfigSer, RunReport};
+use omega_core::runner::RunReport;
 use omega_core::OmegaError;
+use omega_ligra::ExecConfig;
 use omega_sim::fingerprint::Fnv64;
 use omega_sim::obs;
 use std::fs;
@@ -46,8 +47,8 @@ pub mod codec;
 /// instead of being misread.
 ///
 /// v3: `MemStats` grew `dram.open_page_accesses` (the row-outcome
-/// partition denominator) and `SystemConfig` grew the `pim_rank` /
-/// `specialized_cache` machine coordinates.
+/// partition denominator) and `SystemConfig`'s encoding grew the PIM-rank
+/// and specialized-cache slots.
 pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// Schema identifier embedded in every store entry file.
@@ -73,7 +74,7 @@ fn payload_checksum(payload: &Json) -> u64 {
 pub fn value_fingerprint(
     kind: &str,
     scale_code: &str,
-    exec: Option<&ExecConfigSer>,
+    exec: Option<&ExecConfig>,
     parts: impl FnOnce(&mut Fnv64),
 ) -> u64 {
     use omega_sim::fingerprint::Canonicalize;
@@ -100,7 +101,7 @@ pub fn run_fingerprint(
     scale_code: &str,
     algo_name: &str,
     system: &SystemConfig,
-    exec: &ExecConfigSer,
+    exec: &ExecConfig,
 ) -> u64 {
     use omega_sim::fingerprint::Canonicalize;
     let mut h = Fnv64::new();

@@ -4,9 +4,11 @@
 
 use omega_bench::json::Json;
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
+use omega_bench::store::value_fingerprint;
 use omega_bench::ExperimentStore;
 use omega_core::runner::Runner;
 use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_ligra::ExecConfig;
 use omega_sim::telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
@@ -208,4 +210,45 @@ fn cross_process_dump_is_deterministic_and_warm() {
     assert!(warm_hits >= 1);
     assert_eq!(warm_misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Store keys of every machine kind and of one figure value, pinned at
+/// format v3. A silent drift in the canonical encoding would orphan every
+/// warm store, so a deliberate change must bump `STORE_FORMAT_VERSION` and
+/// re-capture these constants.
+#[test]
+fn fingerprints_match_the_golden_digests() {
+    let golden: [(MachineKind, u64); 10] = [
+        (MachineKind::Baseline, 0xd05a7c48116fe141),
+        (MachineKind::Omega, 0xb85ffd8dbe774a03),
+        (MachineKind::OmegaNoPisc, 0xd281aabc7d5d4522),
+        (MachineKind::OmegaNoSvb, 0x0b15017828662b9c),
+        (MachineKind::OmegaChunkMismatch, 0x2d6f1600eee78f87),
+        (MachineKind::OmegaOffchip, 0x13bf614d36fc2728),
+        (MachineKind::LockedCache, 0x53c9ac0990088aca),
+        (MachineKind::PimRank, 0xa2cec2924283fda8),
+        (MachineKind::SpecializedCache, 0xebe9276387312d12),
+        (
+            MachineKind::OmegaScaledSp { permille: 500 },
+            0x5d906ab27e18a513,
+        ),
+    ];
+    assert!(MachineKind::NAMED
+        .iter()
+        .all(|m| golden.iter().any(|(g, _)| g == m)));
+    for (m, want) in golden {
+        let spec = ExperimentSpec::new(Dataset::Lj, AlgoKey::PageRank, m);
+        let got = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+        assert_eq!(got, want, "{}: {got:#018x}", spec.label());
+    }
+    let value = value_fingerprint(
+        "table2-trace-class",
+        "tiny",
+        Some(&ExecConfig::default()),
+        |h| {
+            h.write_str("ap");
+            h.write_str("PageRank");
+        },
+    );
+    assert_eq!(value, 0x901470583914b736, "{value:#018x}");
 }

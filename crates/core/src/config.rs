@@ -138,50 +138,50 @@ impl Default for SpecializedCacheConfig {
     }
 }
 
-/// A complete machine: the CMP substrate plus, optionally, the OMEGA
-/// extension. `omega == None` is the baseline.
+/// The one memory-subsystem extension a machine carries on top of the CMP
+/// substrate. The variants are mutually exclusive by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Extension {
+    /// The baseline CMP: no extension.
+    None,
+    /// OMEGA's scratchpads and PISCs.
+    Omega(OmegaConfig),
+    /// §IX locked-cache alternative: this many bytes per core of hot
+    /// vtxProp lines are pinned into the (full-size) L2.
+    LockedCache {
+        /// Pinned bytes per core.
+        bytes_per_core: u64,
+    },
+    /// PIM-rank rival machine.
+    PimRank(PimRankConfig),
+    /// GRASP-style specialized-cache rival.
+    SpecializedCache(SpecializedCacheConfig),
+}
+
+/// A complete machine: the CMP substrate plus one [`Extension`]
+/// (`Extension::None` is the baseline).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// The CMP substrate (cores, caches, NoC, DRAM). For an OMEGA machine
     /// this already carries the *halved* L2.
     pub machine: MachineConfig,
-    /// The scratchpad/PISC extension, absent on the baseline.
-    pub omega: Option<OmegaConfig>,
-    /// §IX locked-cache alternative: pin this many bytes per core of hot
-    /// vtxProp lines into the (full-size) L2. Mutually exclusive with
-    /// `omega`.
-    pub locked_cache_bytes: Option<u64>,
-    /// PIM-rank rival machine. Mutually exclusive with `omega`,
-    /// `locked_cache_bytes`, and `specialized_cache`.
-    pub pim_rank: Option<PimRankConfig>,
-    /// GRASP-style specialized-cache rival. Mutually exclusive with the
-    /// other extensions.
-    pub specialized_cache: Option<SpecializedCacheConfig>,
+    /// The memory-subsystem extension.
+    pub extension: Extension,
 }
 
 impl SystemConfig {
     /// Scaled-down baseline (Table III at 1/160 capacity; see DESIGN.md).
     pub fn mini_baseline() -> Self {
-        SystemConfig {
-            machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: None,
-        }
+        Self::mini(Extension::None)
     }
 
     /// Scaled-down locked-cache machine (§IX): the baseline CMP with the
     /// same per-core byte budget OMEGA spends on scratchpads pinned into
     /// the L2 instead.
     pub fn mini_locked_cache() -> Self {
-        SystemConfig {
-            machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: Some(OmegaConfig::default().sp_bytes_per_core),
-            pim_rank: None,
-            specialized_cache: None,
-        }
+        Self::mini(Extension::LockedCache {
+            bytes_per_core: OmegaConfig::default().sp_bytes_per_core,
+        })
     }
 
     /// Scaled-down OMEGA: half of each 16 KB L2 slice becomes an 8 KB
@@ -194,10 +194,7 @@ impl SystemConfig {
     pub fn paper_baseline() -> Self {
         SystemConfig {
             machine: MachineConfig::paper_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: None,
+            extension: Extension::None,
         }
     }
 
@@ -224,76 +221,79 @@ impl SystemConfig {
         machine.l2.capacity /= 2;
         SystemConfig {
             machine,
-            omega: Some(omega),
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: None,
+            extension: Extension::Omega(omega),
         }
     }
 
     /// Scaled-down PIM-rank machine: the baseline CMP (full-size L2) with
     /// rank-level compute engines behind every DRAM channel.
     pub fn mini_pim_rank() -> Self {
-        SystemConfig {
-            machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: Some(PimRankConfig::default()),
-            specialized_cache: None,
-        }
+        Self::mini(Extension::PimRank(PimRankConfig::default()))
     }
 
     /// Scaled-down specialized-cache machine: the baseline CMP with a
     /// GRASP-style hot-vertex protection policy in the (full-size) L2.
     pub fn mini_specialized_cache() -> Self {
+        Self::mini(Extension::SpecializedCache(
+            SpecializedCacheConfig::default(),
+        ))
+    }
+
+    /// The mini baseline CMP (full-size L2) carrying `extension`.
+    fn mini(extension: Extension) -> Self {
         SystemConfig {
             machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: Some(SpecializedCacheConfig::default()),
+            extension,
         }
     }
 
     /// Returns a copy with a different scratchpad size (the Fig. 19
-    /// sensitivity sweep). No-op on a baseline.
+    /// sensitivity sweep).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has no scratchpad.
     pub fn with_scratchpad_bytes(mut self, bytes_per_core: u64) -> Self {
-        if let Some(o) = &mut self.omega {
-            o.sp_bytes_per_core = bytes_per_core;
-        }
+        let Extension::Omega(o) = &mut self.extension else {
+            panic!("{} machine has no scratchpad to resize", self.label());
+        };
+        o.sp_bytes_per_core = bytes_per_core;
         self
+    }
+
+    /// The scratchpad/PISC configuration, on an OMEGA machine.
+    pub fn omega(&self) -> Option<&OmegaConfig> {
+        match &self.extension {
+            Extension::Omega(o) => Some(o),
+            Extension::None
+            | Extension::LockedCache { .. }
+            | Extension::PimRank(_)
+            | Extension::SpecializedCache(_) => None,
+        }
     }
 
     /// Whether this is an OMEGA machine.
     pub fn is_omega(&self) -> bool {
-        self.omega.is_some()
+        self.omega().is_some()
     }
 
     /// "baseline", "omega", "locked-cache", "pim-rank", or
     /// "specialized-cache", for report labels.
     pub fn label(&self) -> &'static str {
-        if self.is_omega() {
-            "omega"
-        } else if self.locked_cache_bytes.is_some() {
-            "locked-cache"
-        } else if self.pim_rank.is_some() {
-            "pim-rank"
-        } else if self.specialized_cache.is_some() {
-            "specialized-cache"
-        } else {
-            "baseline"
+        match self.extension {
+            Extension::None => "baseline",
+            Extension::Omega(_) => "omega",
+            Extension::LockedCache { .. } => "locked-cache",
+            Extension::PimRank(_) => "pim-rank",
+            Extension::SpecializedCache(_) => "specialized-cache",
         }
     }
 
     /// Total on-chip data storage (L2 + scratchpads), which the paper keeps
     /// equal between the two machines.
     pub fn total_onchip_bytes(&self) -> u64 {
-        let l2 = self.machine.l2.capacity * self.machine.core.n_cores as u64;
-        let sp = self
-            .omega
-            .map(|o| o.sp_bytes_per_core * self.machine.core.n_cores as u64)
-            .unwrap_or(0);
-        l2 + sp
+        let sp = self.omega().map_or(0, |o| o.sp_bytes_per_core);
+        (self.machine.l2.capacity + sp) * self.machine.core.n_cores as u64
     }
 }
 
@@ -319,34 +319,31 @@ impl Canonicalize for OmegaConfig {
 }
 
 impl Canonicalize for SystemConfig {
+    /// Four 0/1-tagged slots — OMEGA, locked cache, PIM-rank, specialized
+    /// cache, in that order — with the active variant's payload after its
+    /// tag. The layout predates [`Extension`] and is kept so stored
+    /// fingerprints stay valid.
     fn canonicalize(&self, h: &mut Fnv64) {
         self.machine.canonicalize(h);
-        match &self.omega {
-            None => h.write_u8(0),
-            Some(o) => {
-                h.write_u8(1);
-                o.canonicalize(h);
+        let active = match self.extension {
+            Extension::None => None,
+            Extension::Omega(_) => Some(0),
+            Extension::LockedCache { .. } => Some(1),
+            Extension::PimRank(_) => Some(2),
+            Extension::SpecializedCache(_) => Some(3),
+        };
+        for slot in 0..4 {
+            let on = active == Some(slot);
+            h.write_bool(on);
+            if !on {
+                continue;
             }
-        }
-        match self.locked_cache_bytes {
-            None => h.write_u8(0),
-            Some(b) => {
-                h.write_u8(1);
-                h.write_u64(b);
-            }
-        }
-        match &self.pim_rank {
-            None => h.write_u8(0),
-            Some(p) => {
-                h.write_u8(1);
-                p.canonicalize(h);
-            }
-        }
-        match &self.specialized_cache {
-            None => h.write_u8(0),
-            Some(s) => {
-                h.write_u8(1);
-                s.canonicalize(h);
+            match &self.extension {
+                Extension::None => {}
+                Extension::Omega(o) => o.canonicalize(h),
+                Extension::LockedCache { bytes_per_core } => h.write_u64(*bytes_per_core),
+                Extension::PimRank(p) => p.canonicalize(h),
+                Extension::SpecializedCache(s) => s.canonicalize(h),
             }
         }
     }
@@ -415,18 +412,21 @@ mod tests {
     #[test]
     fn scratchpad_sweep_rescales() {
         let half = SystemConfig::mini_omega().with_scratchpad_bytes(4 * 1024);
-        assert_eq!(half.omega.unwrap().sp_bytes_per_core, 4 * 1024);
-        // Baselines ignore the sweep.
-        let b = SystemConfig::mini_baseline().with_scratchpad_bytes(4 * 1024);
-        assert!(b.omega.is_none());
+        assert_eq!(half.omega().unwrap().sp_bytes_per_core, 4 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "no scratchpad")]
+    fn scratchpad_sweep_rejects_a_baseline() {
+        SystemConfig::mini_baseline().with_scratchpad_bytes(4 * 1024);
     }
 
     #[test]
     fn paper_omega_matches_table_three() {
         let o = SystemConfig::paper_omega();
         assert_eq!(o.machine.l2.capacity, 1024 * 1024);
-        assert_eq!(o.omega.unwrap().sp_bytes_per_core, 1024 * 1024);
-        assert_eq!(o.omega.unwrap().sp_latency, 3);
+        assert_eq!(o.omega().unwrap().sp_bytes_per_core, 1024 * 1024);
+        assert_eq!(o.omega().unwrap().sp_latency, 3);
     }
 
     #[test]
@@ -451,22 +451,32 @@ mod tests {
                 assert_ne!(digest(a), digest(b), "{} vs {}", a.label(), b.label());
             }
         }
-        // Omega sub-fields reach the digest through the Option.
-        let mut nosvb = SystemConfig::mini_omega();
-        nosvb.omega.as_mut().unwrap().svb_enabled = false;
-        assert_ne!(digest(&SystemConfig::mini_omega()), digest(&nosvb));
-        let mut ext = SystemConfig::mini_omega();
-        ext.omega.as_mut().unwrap().ext = OffchipExtensions::all();
-        assert_ne!(digest(&SystemConfig::mini_omega()), digest(&ext));
-        // Rival sub-fields reach the digest through their Options too.
-        let mut pim = SystemConfig::mini_pim_rank();
-        pim.pim_rank.as_mut().unwrap().ranks_per_channel = 4;
+        // Every variant's payload reaches the digest.
+        let with = |extension| SystemConfig {
+            extension,
+            ..SystemConfig::mini_baseline()
+        };
+        let omega = OmegaConfig::default();
+        let nosvb = with(Extension::Omega(OmegaConfig {
+            svb_enabled: false,
+            ..omega
+        }));
+        assert_ne!(digest(&with(Extension::Omega(omega))), digest(&nosvb));
+        let ext = with(Extension::Omega(OmegaConfig {
+            ext: OffchipExtensions::all(),
+            ..omega
+        }));
+        assert_ne!(digest(&with(Extension::Omega(omega))), digest(&ext));
+        let locked = with(Extension::LockedCache { bytes_per_core: 64 });
+        assert_ne!(digest(&SystemConfig::mini_locked_cache()), digest(&locked));
+        let pim = with(Extension::PimRank(PimRankConfig {
+            ranks_per_channel: 4,
+            ..PimRankConfig::default()
+        }));
         assert_ne!(digest(&SystemConfig::mini_pim_rank()), digest(&pim));
-        let mut sc = SystemConfig::mini_specialized_cache();
-        sc.specialized_cache
-            .as_mut()
-            .unwrap()
-            .protected_bytes_per_core = 4 * 1024;
+        let sc = with(Extension::SpecializedCache(SpecializedCacheConfig {
+            protected_bytes_per_core: 4 * 1024,
+        }));
         assert_ne!(digest(&SystemConfig::mini_specialized_cache()), digest(&sc));
     }
 }

@@ -78,4 +78,4 @@ pub use config::{OmegaConfig, PimRankConfig, SpecializedCacheConfig, SystemConfi
 pub use error::OmegaError;
 pub use machine::OmegaMemory;
 pub use pim::PimRankMemory;
-pub use runner::{run, RunConfig, RunReport};
+pub use runner::{build_memory, run, RunConfig, RunReport};

@@ -74,10 +74,10 @@ impl OmegaMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `system.omega` is `None`.
+    /// Panics if `system` is not an OMEGA machine.
     pub fn new(system: &SystemConfig, layout: Layout, meta: &TraceMeta) -> Self {
-        let omega = system
-            .omega
+        let omega = *system
+            .omega()
             .expect("OmegaMemory requires an OMEGA system config");
         let mut machine = system.machine;
         if omega.ext.hybrid_page {
@@ -137,29 +137,6 @@ impl OmegaMemory {
     /// The controller (for tests and analyses).
     pub fn controller(&self) -> &ScratchpadController {
         &self.ctrl
-    }
-
-    /// Merged statistics: the cache hierarchy's counters plus the
-    /// scratchpad/PISC/SVB activity.
-    pub fn stats(&self) -> MemStats {
-        let mut s = self.inner.stats();
-        s.scratchpad.merge(&ScratchpadStats {
-            local_accesses: self.sp_local,
-            remote_accesses: self.sp_remote,
-            range_misses: self.range_misses,
-            pisc_ops: self.piscs.iter().map(|p| p.ops()).sum(),
-            pisc_busy_cycles: self.piscs.iter().map(|p| p.busy_cycles()).sum(),
-            svb_hits: self.svbs.iter().map(|b| b.hits()).sum(),
-            svb_misses: self.svbs.iter().map(|b| b.misses()).sum(),
-            active_list_updates: self.active_list_updates,
-            pim_ops: self.pim_ops,
-            word_dram_accesses: self.word_dram_accesses,
-        });
-        s.atomics.merge(&AtomicStats {
-            executed: self.atomics_executed,
-            lock_wait_cycles: self.atomic_lock_wait,
-        });
-        s
     }
 
     /// Ticks the window sampler if `now` crossed a boundary; one compare
@@ -413,6 +390,29 @@ impl MemorySystem for OmegaMemory {
         self.inner.finish(now);
     }
 
+    /// Merged statistics: the cache hierarchy's counters plus the
+    /// scratchpad/PISC/SVB activity.
+    fn stats(&self) -> MemStats {
+        let mut s = self.inner.stats();
+        s.scratchpad.merge(&ScratchpadStats {
+            local_accesses: self.sp_local,
+            remote_accesses: self.sp_remote,
+            range_misses: self.range_misses,
+            pisc_ops: self.piscs.iter().map(|p| p.ops()).sum(),
+            pisc_busy_cycles: self.piscs.iter().map(|p| p.busy_cycles()).sum(),
+            svb_hits: self.svbs.iter().map(|b| b.hits()).sum(),
+            svb_misses: self.svbs.iter().map(|b| b.misses()).sum(),
+            active_list_updates: self.active_list_updates,
+            pim_ops: self.pim_ops,
+            word_dram_accesses: self.word_dram_accesses,
+        });
+        s.atomics.merge(&AtomicStats {
+            executed: self.atomics_executed,
+            lock_wait_cycles: self.atomic_lock_wait,
+        });
+        s
+    }
+
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
         let mut report = self.inner.take_telemetry()?;
         if let Some(s) = self.sampler.take() {
@@ -437,6 +437,10 @@ mod tests {
 
     fn system() -> SystemConfig {
         SystemConfig::mini_omega()
+    }
+
+    fn system_with(omega: OmegaConfig) -> SystemConfig {
+        SystemConfig::omega_from_baseline(omega_sim::MachineConfig::mini_baseline(), omega)
     }
 
     fn meta(n: u64) -> TraceMeta {
@@ -621,8 +625,10 @@ mod tests {
 
     #[test]
     fn scratchpad_only_ablation_blocks_and_serialises() {
-        let mut sys = system();
-        sys.omega.as_mut().unwrap().pisc_enabled = false;
+        let sys = system_with(OmegaConfig {
+            pisc_enabled: false,
+            ..OmegaConfig::default()
+        });
         let mt = meta(10_000);
         let layout = Layout::new(&mt);
         let mut m = OmegaMemory::new(&sys, layout, &mt);
@@ -638,8 +644,10 @@ mod tests {
     }
 
     fn machine_with_ext(n: u64) -> OmegaMemory {
-        let mut sys = system();
-        sys.omega.as_mut().unwrap().ext = crate::config::OffchipExtensions::all();
+        let sys = system_with(OmegaConfig {
+            ext: crate::config::OffchipExtensions::all(),
+            ..OmegaConfig::default()
+        });
         let mt = meta(n);
         let layout = Layout::new(&mt);
         OmegaMemory::new(&sys, layout, &mt)
@@ -738,8 +746,10 @@ mod tests {
 
     #[test]
     fn svb_disabled_config_never_hits() {
-        let mut sys = system();
-        sys.omega.as_mut().unwrap().svb_enabled = false;
+        let sys = system_with(OmegaConfig {
+            svb_enabled: false,
+            ..OmegaConfig::default()
+        });
         let mt = meta(10_000);
         let layout = Layout::new(&mt);
         let mut m = OmegaMemory::new(&sys, layout, &mt);

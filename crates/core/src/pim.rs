@@ -15,7 +15,7 @@
 //! untouched. All rank-engine and DRAM state is **globally-ordered
 //! contention state** — it is only touched from the serial timing loop.
 
-use crate::config::{PimRankConfig, SystemConfig};
+use crate::config::PimRankConfig;
 use crate::layout::Layout;
 use crate::pisc::PiscEngine;
 use omega_ligra::trace::TraceMeta;
@@ -24,7 +24,9 @@ use omega_sim::dram::RowMode;
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::stats::{AtomicStats, MemStats, ScratchpadStats};
 use omega_sim::telemetry::{TelemetryReport, WindowSampler};
-use omega_sim::{AccessKind, AccessOutcome, Blocking, Cycle, MemAccess, MemorySystem, LINE_BYTES};
+use omega_sim::{
+    AccessKind, AccessOutcome, Blocking, Cycle, MachineConfig, MemAccess, MemorySystem, LINE_BYTES,
+};
 
 /// The PIM-rank memory system. See the module docs for the request flow.
 #[derive(Debug)]
@@ -47,17 +49,16 @@ pub struct PimRankMemory {
 }
 
 impl PimRankMemory {
-    /// Builds the PIM-rank machine for one traced run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `system.pim_rank` is `None`.
-    pub fn new(system: &SystemConfig, layout: Layout, meta: &TraceMeta) -> Self {
-        let cfg = system
-            .pim_rank
-            .expect("PimRankMemory requires a PIM-rank system config");
-        let channels = system.machine.dram.channels;
-        let mut inner = CacheHierarchy::new(&system.machine);
+    /// Builds the PIM-rank machine over the CMP substrate `machine` for
+    /// one traced run.
+    pub fn new(
+        machine: &MachineConfig,
+        cfg: PimRankConfig,
+        layout: Layout,
+        meta: &TraceMeta,
+    ) -> Self {
+        let channels = machine.dram.channels;
+        let mut inner = CacheHierarchy::new(machine);
         let sampler = inner.take_sampler();
         PimRankMemory {
             inner,
@@ -92,22 +93,6 @@ impl PimRankMemory {
     /// of the `pim_ops` audit).
     pub fn rank_ops(&self) -> u64 {
         self.ranks.iter().map(|r| r.ops()).sum()
-    }
-
-    /// Merged statistics: the hierarchy's counters plus the rank-offload
-    /// activity (reported through the `pim_ops` channel the §IX.2
-    /// extension established).
-    pub fn stats(&self) -> MemStats {
-        let mut s = self.inner.stats();
-        s.scratchpad.merge(&ScratchpadStats {
-            pim_ops: self.pim_ops,
-            ..ScratchpadStats::default()
-        });
-        s.atomics.merge(&AtomicStats {
-            executed: self.atomics_executed,
-            lock_wait_cycles: self.atomic_lock_wait,
-        });
-        s
     }
 
     /// Ticks the window sampler if `now` crossed a boundary.
@@ -196,6 +181,22 @@ impl MemorySystem for PimRankMemory {
         Some(report)
     }
 
+    /// Merged statistics: the hierarchy's counters plus the rank-offload
+    /// activity (reported through the `pim_ops` channel the §IX.2
+    /// extension established).
+    fn stats(&self) -> MemStats {
+        let mut s = self.inner.stats();
+        s.scratchpad.merge(&ScratchpadStats {
+            pim_ops: self.pim_ops,
+            ..ScratchpadStats::default()
+        });
+        s.atomics.merge(&AtomicStats {
+            executed: self.atomics_executed,
+            lock_wait_cycles: self.atomic_lock_wait,
+        });
+        s
+    }
+
     fn audit_into(&self, out: &mut AuditReport) {
         self.inner.audit_components(out);
         audit::check_mem_stats(&self.stats(), out);
@@ -233,7 +234,12 @@ mod tests {
     fn machine(n: u64) -> PimRankMemory {
         let m = meta(n);
         let layout = Layout::new(&m);
-        PimRankMemory::new(&SystemConfig::mini_pim_rank(), layout, &m)
+        PimRankMemory::new(
+            &MachineConfig::mini_baseline(),
+            PimRankConfig::default(),
+            layout,
+            &m,
+        )
     }
 
     #[test]
@@ -278,7 +284,12 @@ mod tests {
         };
         let layout = Layout::new(&mt);
         let a = layout.prop_addr(0, 3);
-        let mut m = PimRankMemory::new(&SystemConfig::mini_pim_rank(), layout, &mt);
+        let mut m = PimRankMemory::new(
+            &MachineConfig::mini_baseline(),
+            PimRankConfig::default(),
+            layout,
+            &mt,
+        );
         m.access(0, MemAccess::atomic(a, 8, AtomicKind::FpAdd), 0);
         let s = m.stats();
         assert_eq!(s.scratchpad.pim_ops, 0);

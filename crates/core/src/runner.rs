@@ -12,16 +12,18 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::SystemConfig;
+use crate::config::{Extension, SystemConfig};
+use crate::grasp::specialized_cache_memory;
 use crate::layout::Layout;
+use crate::locked::locked_cache_memory;
 use crate::lower::{LoweringStream, Target};
 use crate::machine::OmegaMemory;
+use crate::pim::PimRankMemory;
 use omega_graph::CsrGraph;
 use omega_ligra::algorithms::Algo;
 use omega_ligra::trace::{CollectingTracer, RawTrace, TraceMeta};
 use omega_ligra::{Ctx, ExecConfig};
 use omega_sim::audit::{self, AuditReport};
-use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
@@ -31,56 +33,10 @@ use omega_sim::{engine, EngineReport, MemorySystem};
 /// Everything needed to execute one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
-    /// The machine (baseline or OMEGA).
+    /// The machine.
     pub system: SystemConfig,
     /// Framework execution parameters (cores, chunking, compute weights).
-    pub exec: ExecConfigSer,
-}
-
-/// Serialisable mirror of [`ExecConfig`] (which lives in `omega-ligra` and
-/// stays serde-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ExecConfigSer {
-    pub n_cores: usize,
-    pub chunk_size: usize,
-    pub dense_threshold_div: u64,
-    pub compute_per_edge_x100: u32,
-    pub compute_per_vertex_x100: u32,
-}
-
-impl From<ExecConfig> for ExecConfigSer {
-    fn from(e: ExecConfig) -> Self {
-        ExecConfigSer {
-            n_cores: e.n_cores,
-            chunk_size: e.chunk_size,
-            dense_threshold_div: e.dense_threshold_div,
-            compute_per_edge_x100: e.compute_per_edge_x100,
-            compute_per_vertex_x100: e.compute_per_vertex_x100,
-        }
-    }
-}
-
-impl From<ExecConfigSer> for ExecConfig {
-    fn from(e: ExecConfigSer) -> Self {
-        ExecConfig {
-            n_cores: e.n_cores,
-            chunk_size: e.chunk_size,
-            dense_threshold_div: e.dense_threshold_div,
-            compute_per_edge_x100: e.compute_per_edge_x100,
-            compute_per_vertex_x100: e.compute_per_vertex_x100,
-        }
-    }
-}
-
-impl Canonicalize for ExecConfigSer {
-    fn canonicalize(&self, h: &mut Fnv64) {
-        h.write_usize(self.n_cores);
-        h.write_usize(self.chunk_size);
-        h.write_u64(self.dense_threshold_div);
-        h.write_u32(self.compute_per_edge_x100);
-        h.write_u32(self.compute_per_vertex_x100);
-    }
+    pub exec: ExecConfig,
 }
 
 impl RunConfig {
@@ -91,10 +47,7 @@ impl RunConfig {
             n_cores: system.machine.core.n_cores,
             ..ExecConfig::default()
         };
-        RunConfig {
-            system,
-            exec: exec.into(),
-        }
+        RunConfig { system, exec }
     }
 
     /// Overrides the framework's OpenMP-style chunk size (the §V.D chunk
@@ -124,7 +77,7 @@ impl RunConfig {
 #[derive(Debug, Clone)]
 pub struct Runner {
     systems: Vec<SystemConfig>,
-    exec: Option<ExecConfigSer>,
+    exec: Option<ExecConfig>,
     chunk_size: Option<usize>,
     telemetry: Option<TelemetryConfig>,
     audit: bool,
@@ -153,8 +106,8 @@ impl Runner {
     }
 
     /// Overrides the framework execution parameters.
-    pub fn exec(mut self, exec: impl Into<ExecConfigSer>) -> Self {
-        self.exec = Some(exec.into());
+    pub fn exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = Some(exec);
         self
     }
 
@@ -183,13 +136,10 @@ impl Runner {
     }
 
     /// The effective execution parameters this runner will trace with.
-    pub fn resolved_exec(&self) -> ExecConfigSer {
-        let mut exec = self.exec.unwrap_or_else(|| {
-            ExecConfig {
-                n_cores: self.systems[0].machine.core.n_cores,
-                ..ExecConfig::default()
-            }
-            .into()
+    pub fn resolved_exec(&self) -> ExecConfig {
+        let mut exec = self.exec.unwrap_or(ExecConfig {
+            n_cores: self.systems[0].machine.core.n_cores,
+            ..ExecConfig::default()
         });
         if let Some(chunk) = self.chunk_size {
             exec.chunk_size = chunk;
@@ -236,8 +186,7 @@ impl Runner {
                 })
                 .collect();
         }
-        let exec: ExecConfig = self.resolved_exec().into();
-        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
+        let (checksum, raw, meta) = trace_algorithm(g, algo, &self.resolved_exec());
         self.resolved_systems()
             .iter()
             .map(|sys| replay_report(algo.name(), checksum, &raw, &meta, sys))
@@ -248,8 +197,7 @@ impl Runner {
     /// after each replay and returns the audit report alongside each run
     /// report instead of panicking — the `audit` binary's collection path.
     pub fn run_many_audited(&self, g: &CsrGraph, algo: Algo) -> Vec<(RunReport, AuditReport)> {
-        let exec: ExecConfig = self.resolved_exec().into();
-        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
+        let (checksum, raw, meta) = trace_algorithm(g, algo, &self.resolved_exec());
         self.resolved_systems()
             .iter()
             .map(|sys| {
@@ -276,7 +224,7 @@ impl Runner {
 pub struct RunReport {
     /// Algorithm name.
     pub algo: String,
-    /// Machine label ("baseline" / "omega").
+    /// Machine label ([`SystemConfig::label`]).
     pub machine: String,
     /// Deterministic functional result summary (machine-independent).
     pub checksum: f64,
@@ -384,7 +332,7 @@ fn replay_impl(
     raw: &RawTrace,
     meta: &TraceMeta,
     system: &SystemConfig,
-    mut audit: Option<&mut AuditReport>,
+    audit: Option<&mut AuditReport>,
 ) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
     let _span = obs::span("runner.replay");
     // In trace mode, scope a simulated session so the memory models built
@@ -393,58 +341,47 @@ fn replay_impl(
     let _sim = obs::sim_session(system.label());
     TIMING_REPLAYS.fetch_add(1, Ordering::Relaxed);
     let layout = Layout::new(meta);
-    let run = |target: Target, mem: &mut dyn MemorySystem| -> EngineReport {
-        let mut stream = LoweringStream::new(raw, &layout, target);
-        engine::run_source(&mut stream, mem, &system.machine)
+    let (mut mem, target) = build_memory(system, &layout, meta);
+    let mut stream = LoweringStream::new(raw, &layout, target);
+    let report = engine::run_source(&mut stream, mem.as_mut(), &system.machine);
+    if let Some(out) = audit {
+        mem.audit_into(out);
+    }
+    let hot = match target {
+        Target::Omega { hot_count } => hot_count,
+        Target::Baseline | Target::BaselinePlainAtomics => 0,
     };
-    if system.is_omega() {
-        let mut mem = OmegaMemory::new(system, layout.clone(), meta);
-        let hot = mem.hot_count();
-        let report = run(Target::Omega { hot_count: hot }, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            mem.audit_into(out);
+    let stats = mem.stats();
+    (report, stats, hot, mem.take_telemetry())
+}
+
+/// Builds the memory system `system` describes for one traced run, with
+/// the lowering [`Target`] its trace must be replayed under.
+pub fn build_memory(
+    system: &SystemConfig,
+    layout: &Layout,
+    meta: &TraceMeta,
+) -> (Box<dyn MemorySystem>, Target) {
+    let machine = &system.machine;
+    match system.extension {
+        Extension::None => (Box::new(CacheHierarchy::new(machine)), Target::Baseline),
+        Extension::Omega(_) => {
+            let mem = OmegaMemory::new(system, layout.clone(), meta);
+            let hot_count = mem.hot_count();
+            (Box::new(mem), Target::Omega { hot_count })
         }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, hot, telemetry)
-    } else if system.pim_rank.is_some() {
-        let mut mem = crate::pim::PimRankMemory::new(system, layout.clone(), meta);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            mem.audit_into(out);
+        Extension::LockedCache { bytes_per_core } => {
+            let (mem, _pinned) = locked_cache_memory(machine, layout, meta, bytes_per_core);
+            (Box::new(mem), Target::Baseline)
         }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
-    } else if let Some(sc) = &system.specialized_cache {
-        let (mut mem, _protected) =
-            crate::grasp::specialized_cache_memory(&system.machine, &layout, meta, sc);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            MemorySystem::audit_into(&mem, out);
+        Extension::PimRank(cfg) => {
+            let mem = PimRankMemory::new(machine, cfg, layout.clone(), meta);
+            (Box::new(mem), Target::Baseline)
         }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
-    } else if let Some(budget) = system.locked_cache_bytes {
-        let (mut mem, _pinned) =
-            crate::locked::locked_cache_memory(&system.machine, &layout, meta, budget);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            MemorySystem::audit_into(&mem, out);
+        Extension::SpecializedCache(cfg) => {
+            let (mem, _protected) = specialized_cache_memory(machine, layout, meta, &cfg);
+            (Box::new(mem), Target::Baseline)
         }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
-    } else {
-        let mut mem = CacheHierarchy::new(&system.machine);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit {
-            MemorySystem::audit_into(&mem, out);
-        }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
     }
 }
 

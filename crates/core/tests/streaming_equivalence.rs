@@ -10,16 +10,14 @@
 use omega_core::config::SystemConfig;
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, LoweringStream, Target};
-use omega_core::machine::OmegaMemory;
-use omega_core::runner::{replay, trace_algorithm};
+use omega_core::runner::{build_memory, replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
 use omega_ligra::algorithms::Algo;
 use omega_ligra::trace::{RawTrace, TraceEvent, TraceMeta};
 use omega_ligra::ExecConfig;
-use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::stats::MemStats;
-use omega_sim::{engine, AtomicKind, EngineReport, OpSource};
+use omega_sim::{engine, AtomicKind, EngineReport, OpSource, VecOpSource};
 
 /// The reference path: materialise the full lowered trace, then replay it
 /// (what `runner::replay` did before lowering went lazy).
@@ -29,20 +27,10 @@ fn replay_materialised(
     system: &SystemConfig,
 ) -> (EngineReport, MemStats) {
     let layout = Layout::new(meta);
-    if system.is_omega() {
-        let mut mem = OmegaMemory::new(system, layout.clone(), meta);
-        let hot = mem.hot_count();
-        let traces = lower(raw, &layout, Target::Omega { hot_count: hot });
-        let report = engine::run(traces, &mut mem, &system.machine);
-        let stats = mem.stats();
-        (report, stats)
-    } else {
-        let mut mem = CacheHierarchy::new(&system.machine);
-        let traces = lower(raw, &layout, Target::Baseline);
-        let report = engine::run(traces, &mut mem, &system.machine);
-        let stats = mem.stats();
-        (report, stats)
-    }
+    let (mut mem, target) = build_memory(system, &layout, meta);
+    let mut source = VecOpSource::new(lower(raw, &layout, target));
+    let report = engine::run_source(&mut source, mem.as_mut(), &system.machine);
+    (report, mem.stats())
 }
 
 #[test]
@@ -58,7 +46,13 @@ fn streaming_replay_is_bit_identical_to_materialised_replay() {
         for (name, make) in algos {
             let algo = make(&g);
             let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
-            for system in [SystemConfig::mini_baseline(), SystemConfig::mini_omega()] {
+            for system in [
+                SystemConfig::mini_baseline(),
+                SystemConfig::mini_omega(),
+                SystemConfig::mini_locked_cache(),
+                SystemConfig::mini_pim_rank(),
+                SystemConfig::mini_specialized_cache(),
+            ] {
                 let (want_engine, want_mem) = replay_materialised(&raw, &meta, &system);
                 let (got_engine, got_mem, _, telemetry) = replay(&raw, &meta, &system);
                 assert!(

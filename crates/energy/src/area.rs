@@ -18,7 +18,7 @@
 //! slightly lower area is due to OMEGA's scratchpads being directly mapped
 //! and thus not requiring cache tag information").
 
-use omega_core::config::SystemConfig;
+use omega_core::config::{Extension, SystemConfig};
 
 const MB: f64 = 1024.0 * 1024.0;
 
@@ -84,7 +84,7 @@ pub fn scratchpad(bytes: u64) -> AreaPower {
 /// The Table IV rows for one node (per-core breakdown plus totals).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTable {
-    /// Machine label ("baseline" / "omega").
+    /// Machine label ([`SystemConfig::label`]).
     pub label: String,
     /// CPU core.
     pub core: AreaPower,
@@ -122,24 +122,26 @@ impl NodeTable {
 /// Builds the Table IV breakdown for a machine.
 pub fn node_table(system: &SystemConfig) -> NodeTable {
     let l2 = cache_slice(system.machine.l2.capacity);
-    let (sp, pisc) = match &system.omega {
-        Some(o) => (
-            Some(scratchpad(o.sp_bytes_per_core)),
-            Some(AreaPower {
-                power_w: PISC_POWER_W,
-                area_mm2: PISC_AREA_MM2,
-            }),
-        ),
-        None => (None, None),
+    let engine = AreaPower {
+        power_w: PISC_POWER_W,
+        area_mm2: PISC_AREA_MM2,
     };
-    let rank_engines = system.pim_rank.map(|p| {
-        let engines = (system.machine.dram.channels * p.ranks_per_channel) as f64;
-        let share = engines / system.machine.core.n_cores as f64;
-        AreaPower {
-            power_w: PISC_POWER_W * share,
-            area_mm2: PISC_AREA_MM2 * share,
+    let (sp, pisc, rank_engines) = match system.extension {
+        Extension::Omega(o) => (Some(scratchpad(o.sp_bytes_per_core)), Some(engine), None),
+        Extension::PimRank(p) => {
+            let engines = (system.machine.dram.channels * p.ranks_per_channel) as f64;
+            let share = engines / system.machine.core.n_cores as f64;
+            let rank = AreaPower {
+                power_w: engine.power_w * share,
+                area_mm2: engine.area_mm2 * share,
+            };
+            (None, None, Some(rank))
         }
-    });
+        // Pinning reuses the L2's own arrays: no extra area.
+        Extension::None | Extension::LockedCache { .. } | Extension::SpecializedCache(_) => {
+            (None, None, None)
+        }
+    };
     NodeTable {
         label: system.label().to_string(),
         core: AreaPower {

@@ -37,7 +37,7 @@ use crate::proto::{
     self, ProtoVersion, Request, Response, ResponseFrame, RunRequest, PROTO_V2, STATS_SCHEMA,
 };
 use crate::wire::{self, Frame};
-use omega_bench::session::{trace_groups, ExperimentSpec, MachineKind};
+use omega_bench::session::{trace_groups, ExperimentSpec, MachineKind, Session};
 use omega_bench::{run_report_to_json, ExperimentStore, Json};
 use omega_core::config::SystemConfig;
 use omega_core::runner::{replay_report, trace_algorithm};
@@ -284,13 +284,10 @@ impl ServerState {
         TelemetryConfig::off()
     }
 
-    /// Mirrors `Session::system_for`: the machine with the service's
-    /// telemetry setting applied, so fingerprints (and therefore store
-    /// entries) are shared with the batch tools.
+    /// The machine `spec` runs on, built exactly as the batch tools build
+    /// it, so fingerprints (and therefore store entries) are shared.
     fn system_for(spec: ExperimentSpec) -> SystemConfig {
-        let mut sys = spec.machine.system();
-        sys.machine.telemetry = Self::telemetry();
-        sys
+        Session::system_for(Self::telemetry(), spec.machine)
     }
 
     fn draining(&self) -> bool {

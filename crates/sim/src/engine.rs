@@ -406,6 +406,9 @@ mod tests {
         fn barrier(&mut self, _now: Cycle) {
             self.barriers += 1;
         }
+        fn stats(&self) -> crate::stats::MemStats {
+            crate::stats::MemStats::default()
+        }
     }
 
     fn cfg() -> MachineConfig {

@@ -165,18 +165,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Merged statistics across all cores and banks.
-    pub fn stats(&self) -> MemStats {
-        MemStats {
-            l1: self.l1_stats.merged(),
-            l2: self.l2_stats.merged(),
-            noc: self.noc.stats(),
-            dram: self.dram.stats(),
-            atomics: self.atomics,
-            scratchpad: Default::default(),
-        }
-    }
-
     /// The machine configuration in use.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
@@ -493,6 +481,18 @@ impl MemorySystem for CacheHierarchy {
             {
                 s.flush(now, &cumulative);
             }
+        }
+    }
+
+    /// Merged statistics across all cores and banks.
+    fn stats(&self) -> MemStats {
+        MemStats {
+            l1: self.l1_stats.merged(),
+            l2: self.l2_stats.merged(),
+            noc: self.noc.stats(),
+            dram: self.dram.stats(),
+            atomics: self.atomics,
+            scratchpad: Default::default(),
         }
     }
 

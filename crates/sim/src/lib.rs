@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use omega_sim::{engine, hierarchy::CacheHierarchy, CoreOp, MachineConfig, MemAccess};
+//! use omega_sim::{engine, hierarchy::CacheHierarchy, CoreOp, MachineConfig, MemAccess, MemorySystem};
 //!
 //! let cfg = MachineConfig::mini_baseline();
 //! let mut mem = CacheHierarchy::new(&cfg);

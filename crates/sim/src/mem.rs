@@ -143,8 +143,10 @@ impl CoreOp {
 
 /// A machine's memory subsystem, as seen by the replay engine.
 ///
-/// Implementations: [`crate::hierarchy::CacheHierarchy`] (baseline CMP) and
-/// `omega_core::machine::OmegaMemory` (scratchpads + PISCs).
+/// Implementations: [`crate::hierarchy::CacheHierarchy`] (the baseline CMP,
+/// and with pinned lines the locked and specialized caches),
+/// `omega_core::machine::OmegaMemory` (scratchpads + PISCs) and
+/// `omega_core::pim::PimRankMemory` (DRAM-rank compute engines).
 pub trait MemorySystem {
     /// Executes one access issued by `core` at cycle `now`; returns when it
     /// completes and how it blocks the core.
@@ -157,6 +159,9 @@ pub trait MemorySystem {
     /// Called once after the trace is fully replayed, with the final cycle
     /// count, so bandwidth-utilisation statistics can be closed out.
     fn finish(&mut self, _now: Cycle) {}
+
+    /// The machine's cumulative statistics.
+    fn stats(&self) -> crate::stats::MemStats;
 
     /// Takes the telemetry collected during the replay (latency histograms
     /// and the windowed [`crate::stats::MemStats`] time series). Returns

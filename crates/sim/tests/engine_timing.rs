@@ -24,6 +24,9 @@ impl MemorySystem for FixedMem {
             blocking,
         }
     }
+    fn stats(&self) -> omega_sim::stats::MemStats {
+        omega_sim::stats::MemStats::default()
+    }
 }
 
 fn cfg(issue_cost_x100: u32, window: usize) -> MachineConfig {

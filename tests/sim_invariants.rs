@@ -12,7 +12,7 @@ use omega_repro::core::machine::OmegaMemory;
 use omega_repro::graph::rng::SmallRng;
 use omega_repro::ligra::trace::{PropSpec, TraceMeta};
 use omega_repro::sim::hierarchy::CacheHierarchy;
-use omega_repro::sim::{engine, AccessKind, AtomicKind, CoreOp, MemAccess, Trace};
+use omega_repro::sim::{engine, AccessKind, AtomicKind, CoreOp, MemAccess, MemorySystem, Trace};
 
 const N_VERTICES: u64 = 4096;
 const CASES: u64 = 64;
